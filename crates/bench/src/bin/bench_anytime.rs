@@ -1,7 +1,8 @@
 //! Anytime-search benchmark: quality-vs-time curves for the beam,
 //! successive-halving, and seeded local-search strategies on a wide
 //! multi-array kernel, oracle-checked against the exhaustive optimum on
-//! a down-sampled candidate set, emitted as `BENCH_anytime.json`.
+//! a down-sampled candidate set, written to
+//! `target/bench/BENCH_anytime.json`.
 //!
 //! Two modes:
 //!
@@ -258,6 +259,5 @@ fn main() {
     }
 
     let json = Json::Obj(members).encode_pretty();
-    std::fs::write("BENCH_anytime.json", &json).expect("writes BENCH_anytime.json");
-    println!("wrote BENCH_anytime.json");
+    hms_bench::write_bench_json("BENCH_anytime.json", &json);
 }

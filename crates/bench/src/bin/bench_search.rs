@@ -1,7 +1,8 @@
 //! Search micro-benchmark: the incremental engine vs the naive
 //! rewrite-per-candidate path on a three-array placement search, with
-//! the engine's observability counters, emitted as `BENCH_search.json`
-//! for CI trend tracking.
+//! the engine's observability counters, written to
+//! `target/bench/BENCH_search.json` for CI to compare against the
+//! committed baseline.
 //!
 //! Three timed passes:
 //!
@@ -261,6 +262,5 @@ fn main() {
         ),
     ])
     .encode_pretty();
-    std::fs::write("BENCH_search.json", &json).expect("writes BENCH_search.json");
-    println!("wrote BENCH_search.json");
+    hms_bench::write_bench_json("BENCH_search.json", &json);
 }

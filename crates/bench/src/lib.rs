@@ -2,7 +2,9 @@
 //!
 //! The experiment harness: everything needed to regenerate every table
 //! and figure of the paper's evaluation (see DESIGN.md's experiment
-//! index), plus Criterion microbenchmarks of the substrates.
+//! index), plus the `bench_search`, `bench_anytime` and `bench_serve`
+//! regression gates. Per-layer timings come from the `perfbench`
+//! package's traced run (`--trace 1`).
 //!
 //! * [`suite`] — the benchmark/placement suites of Table IV: each
 //!   kernel's *sample* placement and its placement tests, split into the
@@ -36,3 +38,15 @@ pub use mining::{mine_events, mine_events_paper, MinedEvent, PlacementStudy};
 pub use runner::{measure, run_suite, trained_predictor, ExperimentResult, Harness};
 pub use suite::{evaluation_suite, training_suite, PlacementTest};
 pub use table::Table;
+
+/// Write one `bench_*` result to `target/bench/<name>`, relative to the
+/// working directory (the repository root under `scripts/ci.sh`), and
+/// print the path. The committed `BENCH_*.json` files at the root are
+/// the baselines CI compares against, so a run never overwrites them.
+pub fn write_bench_json(name: &str, json: &str) {
+    let dir = std::path::Path::new("target/bench");
+    std::fs::create_dir_all(dir).expect("creates the bench output directory");
+    let path = dir.join(name);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writes {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}

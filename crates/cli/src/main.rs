@@ -19,7 +19,8 @@ use args::{parse, Command, MoveSpec, USAGE};
 use hms_core::{ModelOptions, Predictor, SearchStrategy};
 use hms_dram::{detect_mapping, AddressMapping, MemoryController};
 use hms_kernels::{registry, Scale};
-use hms_serve::api::{Advisor, ApiError, Effort, PredictQuery, RankQuery};
+use hms_serve::api::{Advisor, ApiError, Effort};
+use hms_serve::wire::v1::{PredictRequest, RankRequest};
 use hms_serve::{signal, ConfigRegistry, ServerConfig, PRESET_NAMES};
 use hms_sim::simulate_default;
 use hms_trace::materialize;
@@ -204,7 +205,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             }
             let cfg = gpu_config(config.as_deref())?;
             let adv = advisor(&cfg, train);
-            let q = PredictQuery {
+            let q = PredictRequest {
                 kernel,
                 scale,
                 moves: to_moves(&moves),
@@ -248,7 +249,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
         } => {
             let cfg = gpu_config(config.as_deref())?;
             let adv = advisor(&cfg, train);
-            let q = RankQuery {
+            let q = RankRequest {
                 kernel,
                 scale,
                 top,
@@ -291,7 +292,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             // The deadline clock starts now — profile simulation and
             // search both count against it, like a server request.
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            let q = RankQuery {
+            let q = RankRequest {
                 kernel,
                 scale,
                 top,

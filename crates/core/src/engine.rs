@@ -1326,7 +1326,7 @@ impl<'a> Engine<'a> {
                 .map(|(key, members)| (key, &candidates[members[0]]))
                 .collect()
         };
-        let built = hms_stats::par::par_map_threads(threads, &missing, |(key, pm)| {
+        let built = hms_stats::par::par_map_steal(threads, &missing, |(key, pm)| {
             self.load_or_build(pm, key)
         });
         {

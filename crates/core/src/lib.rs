@@ -52,8 +52,6 @@ pub use search::{
     enumerate_placements, rank_placements, rank_placements_naive, search, RankedPlacement,
     SearchOutcome, SearchRequest, SearchStrategy,
 };
-#[allow(deprecated)]
-pub use search::{exhaustive_search, rank_placements_threads};
 pub use sensitivity::{stability, sweep, Knob, SensitivityReport};
 pub use skelcache::{CacheFs, RealFs};
 pub use toverlap::ToverlapModel;

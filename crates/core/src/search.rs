@@ -181,8 +181,8 @@ impl SearchStrategy {
     }
 }
 
-/// A named-field description of one placement search. Replaces the old
-/// eight-positional-argument [`exhaustive_search`] call.
+/// A named-field description of one placement search: the arrays and
+/// base placement, then optional candidates, limit, threads and strategy.
 ///
 /// ```ignore
 /// let outcome = SearchRequest::new(&kt.arrays, &base)
@@ -662,36 +662,22 @@ pub fn rank_placements(
     Engine::new(predictor, profile).rank(candidates, 0)
 }
 
-/// The naive ranking path: one full `rewrite` + `analyze` per
-/// candidate, no delta reuse.
-///
-/// Kept as the engine's ground truth — the equivalence suite asserts the
-/// incremental path reproduces this bit for bit. The result is
-/// identical for every worker count: `par_map` reassembles in input
-/// order, and the final ordering is a *stable* total sort on the
-/// predicted time, so ties keep enumeration order no matter how the
-/// work was scheduled.
-#[deprecated(note = "use `rank_placements_naive` (oracle) or `SearchRequest::run` (fast path)")]
-pub fn rank_placements_threads(
-    predictor: &Predictor,
-    profile: &Profile,
-    candidates: &[PlacementMap],
-    threads: usize,
-) -> Result<Vec<RankedPlacement>, HmsError> {
-    rank_placements_naive(predictor, profile, candidates, threads)
-}
-
 /// The naive oracle: rank `candidates` with one full `rewrite` +
 /// `analyze` per candidate, no delta reuse. Slow by design — this is
 /// the ground truth the incremental engine is checked against, and the
 /// baseline the search benchmarks measure speedups from.
+///
+/// The result is identical for every worker count: `par_map_steal`
+/// reassembles in input order, and the final ordering is a *stable*
+/// total sort on the predicted time, so ties keep enumeration order no
+/// matter how the work was scheduled.
 pub fn rank_placements_naive(
     predictor: &Predictor,
     profile: &Profile,
     candidates: &[PlacementMap],
     threads: usize,
 ) -> Result<Vec<RankedPlacement>, HmsError> {
-    let predictions = hms_stats::par::par_map_threads(threads, candidates, |pm| {
+    let predictions = hms_stats::par::par_map_steal(threads, candidates, |pm| {
         predictor.predict(profile, pm).map(|pred| RankedPlacement {
             placement: pm.clone(),
             predicted_cycles: pred.cycles,
@@ -703,30 +689,6 @@ pub fn rank_placements_naive(
     }
     ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
     Ok(ranked)
-}
-
-/// Exhaustively search the placement space of `candidates` and return
-/// the full ranking. Thin wrapper over [`SearchRequest`]; `cfg` must
-/// match the predictor's config (it always did at every call site) and
-/// is otherwise ignored.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `SearchRequest::new(arrays, base).candidates(..).run(..)`")]
-pub fn exhaustive_search(
-    predictor: &Predictor,
-    profile: &Profile,
-    arrays: &[ArrayDef],
-    base: &PlacementMap,
-    candidates: &[ArrayId],
-    _cfg: &GpuConfig,
-    limit: usize,
-    threads: usize,
-) -> Result<Vec<RankedPlacement>, HmsError> {
-    SearchRequest::new(arrays, base)
-        .candidates(candidates)
-        .limit(limit)
-        .threads(threads)
-        .run(predictor, profile)
-        .map(|o| o.ranked)
 }
 
 #[cfg(test)]
@@ -799,28 +761,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_new_api() {
+    fn naive_ranking_matches_engine_run() {
         let cfg = GpuConfig::test_small();
         let kt = vecadd::build(Scale::Test);
         let base = kt.default_placement();
         let profile = profile_sample(&kt, &base, &cfg).unwrap();
         let predictor = Predictor::new(cfg.clone());
         let ids: Vec<ArrayId> = kt.arrays.iter().map(|a| a.id).collect();
-        let old = exhaustive_search(&predictor, &profile, &kt.arrays, &base, &ids, &cfg, 4096, 1)
-            .unwrap();
         let new = SearchRequest::new(&kt.arrays, &base)
             .threads(1)
             .run(&predictor, &profile)
             .unwrap();
-        assert_eq!(old.len(), new.ranked.len());
-        for (a, b) in old.iter().zip(&new.ranked) {
-            assert_eq!(a.placement, b.placement);
-            assert_eq!(a.predicted_cycles.to_bits(), b.predicted_cycles.to_bits());
-        }
-        // And the naive path agrees bit for bit with the engine path.
         let space = enumerate_placements(&kt.arrays, &base, &ids, &cfg, 4096);
-        let naive = rank_placements_threads(&predictor, &profile, &space, 1).unwrap();
+        let naive = rank_placements_naive(&predictor, &profile, &space, 1).unwrap();
+        assert_eq!(naive.len(), new.ranked.len());
         for (a, b) in naive.iter().zip(&new.ranked) {
             assert_eq!(a.placement, b.placement);
             assert_eq!(a.predicted_cycles.to_bits(), b.predicted_cycles.to_bits());

@@ -21,12 +21,10 @@ use hms_trace::KernelTrace;
 use hms_types::{GpuConfig, HmsError, MemorySpace, PlacementMap};
 
 use crate::cache::ShardedLru;
-use crate::wire::v1::{PlacementV1, PredictResponse, RankResponse, RankedEntry};
+use crate::wire::v1::{
+    PlacementV1, PredictRequest, PredictResponse, RankRequest, RankResponse, RankedEntry,
+};
 use crate::wire::Json;
-
-// The request structs live with the rest of the v1 wire format; these
-// aliases keep the original serving API spelling working.
-pub use crate::wire::v1::{PredictRequest as PredictQuery, RankRequest as RankQuery};
 
 /// An API failure, classified the way the transport needs it (HTTP
 /// status / CLI exit code).
@@ -216,7 +214,7 @@ impl Advisor {
     /// [`Prediction`]).
     pub fn predict(
         &self,
-        q: &PredictQuery,
+        q: &PredictRequest,
         effort: &mut Effort,
     ) -> Result<(Json, Prediction), ApiError> {
         let kt = self.kernel(&q.kernel, q.scale)?;
@@ -247,7 +245,7 @@ impl Advisor {
     /// byte-identical whether or not a deadline was set.
     pub fn rank(
         &self,
-        q: &RankQuery,
+        q: &RankRequest,
         include_stats: bool,
         deadline: Option<Instant>,
         effort: &mut Effort,
@@ -267,7 +265,7 @@ impl Advisor {
     ///   flagged partial instead of wedging the worker.
     pub fn rank_capped(
         &self,
-        q: &RankQuery,
+        q: &RankRequest,
         include_stats: bool,
         deadline: Option<Instant>,
         downgrade: Option<SearchStrategy>,
@@ -380,13 +378,13 @@ mod tests {
         let v =
             decode(r#"{"kernel":"spmv","scale":"test","moves":[{"array":"d_vec","space":"T"}]}"#)
                 .unwrap();
-        let q = PredictQuery::from_json(&v).unwrap();
+        let q = PredictRequest::from_json(&v).unwrap();
         assert_eq!(q.kernel, "spmv");
         assert_eq!(q.scale, Scale::Test);
         assert_eq!(q.moves, vec![("d_vec".into(), MemorySpace::Texture1D)]);
 
         let v = decode(r#"{"kernel":"vecadd","placement":{"a":"C","b":"T"}}"#).unwrap();
-        let q = PredictQuery::from_json(&v).unwrap();
+        let q = PredictRequest::from_json(&v).unwrap();
         assert_eq!(q.scale, Scale::Full);
         assert_eq!(q.moves.len(), 2);
     }
@@ -403,22 +401,22 @@ mod tests {
         ] {
             let v = decode(body).unwrap();
             assert!(
-                matches!(PredictQuery::from_json(&v), Err(ApiError::BadRequest(_))),
+                matches!(PredictRequest::from_json(&v), Err(ApiError::BadRequest(_))),
                 "accepted {body}"
             );
         }
         let v = decode(r#"{"kernel":"spmv","prune":true}"#).unwrap();
         assert!(
-            RankQuery::from_json(&v, false).is_err(),
+            RankRequest::from_json(&v, false).is_err(),
             "advise took prune"
         );
-        assert!(RankQuery::from_json(&v, true).is_ok());
+        assert!(RankRequest::from_json(&v, true).is_ok());
     }
 
     #[test]
     fn predict_body_shape_and_profile_cache() {
         let a = advisor();
-        let q = PredictQuery {
+        let q = PredictRequest {
             kernel: "vecadd".into(),
             scale: Scale::Test,
             moves: vec![("a".into(), MemorySpace::Texture1D)],
@@ -449,7 +447,7 @@ mod tests {
     fn unknown_kernel_and_unknown_array() {
         let a = advisor();
         let mut e = Effort::default();
-        let q = PredictQuery {
+        let q = PredictRequest {
             kernel: "nope".into(),
             scale: Scale::Test,
             moves: vec![("a".into(), MemorySpace::Constant)],
@@ -459,7 +457,7 @@ mod tests {
             a.predict(&q, &mut e),
             Err(ApiError::UnknownKernel(_))
         ));
-        let q = PredictQuery {
+        let q = PredictRequest {
             kernel: "vecadd".into(),
             scale: Scale::Test,
             moves: vec![("ghost".into(), MemorySpace::Constant)],
@@ -471,7 +469,7 @@ mod tests {
         ));
         // Illegal placement (written array into constant) is a 400-class
         // error, not a model failure.
-        let q = PredictQuery {
+        let q = PredictRequest {
             kernel: "vecadd".into(),
             scale: Scale::Test,
             moves: vec![("v".into(), MemorySpace::Constant)],
@@ -486,7 +484,7 @@ mod tests {
     #[test]
     fn rank_bodies_are_deterministic_and_thread_invariant() {
         let a = advisor();
-        let q = RankQuery {
+        let q = RankRequest {
             kernel: "vecadd".into(),
             scale: Scale::Test,
             top: 3,
@@ -499,7 +497,7 @@ mod tests {
         };
         let mut e = Effort::default();
         let (b1, outcome) = a.rank(&q, true, None, &mut e).unwrap();
-        let q2 = RankQuery {
+        let q2 = RankRequest {
             threads: 2,
             ..q.clone()
         };
@@ -521,7 +519,7 @@ mod tests {
     #[test]
     fn anytime_strategy_rank_reports_gap_in_body() {
         let a = advisor();
-        let q = RankQuery {
+        let q = RankRequest {
             kernel: "vecadd".into(),
             scale: Scale::Test,
             top: 3,
@@ -544,7 +542,7 @@ mod tests {
         assert!(gap >= 0.0 && gap.is_finite());
         assert_eq!(outcome.stats.strategy, "beam");
         // The anytime members never leak into an exact-strategy body.
-        let exact = RankQuery {
+        let exact = RankRequest {
             strategy: None,
             beam: None,
             ..q
@@ -558,7 +556,7 @@ mod tests {
     #[test]
     fn expired_deadline_marks_body_partial() {
         let a = advisor();
-        let q = RankQuery {
+        let q = RankRequest {
             kernel: "vecadd".into(),
             scale: Scale::Test,
             top: 3,

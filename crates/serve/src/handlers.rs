@@ -26,12 +26,12 @@ use std::time::{Duration, Instant};
 use hms_kernels::Scale;
 
 use crate::admission::{apply_cap, strategy_cap};
-use crate::api::{Advisor, ApiError, Effort, PredictQuery, RankQuery};
+use crate::api::{Advisor, ApiError, Effort};
 use crate::http::Request;
 use crate::metrics::Metrics;
 use crate::server::{current_ready_state, PredKey, RankKey, ReadyState, Shared};
 use crate::singleflight::FlightKey;
-use crate::wire::v1::error_body;
+use crate::wire::v1::{error_body, PredictRequest, RankRequest};
 use crate::wire::{decode, Json};
 
 /// One finished response.
@@ -341,9 +341,9 @@ pub(crate) struct Predict;
 
 impl Predict {
     /// Parse + resolve the parts both stages need.
-    fn query(&self, ctx: &Ctx<'_>, req: &Request) -> Result<(PredictQuery, usize), Response> {
+    fn query(&self, ctx: &Ctx<'_>, req: &Request) -> Result<(PredictRequest, usize), Response> {
         let v = parse_body(req)?;
-        let q = PredictQuery::from_json(&v).map_err(api_error)?;
+        let q = PredictRequest::from_json(&v).map_err(api_error)?;
         let tenant = ctx
             .resolve_config(q.config.as_deref())
             .map_err(|e| Response::error(400, &e))?;
@@ -405,7 +405,7 @@ impl Handler for Predict {
 impl Predict {
     /// The tenant-resolved slow path; split out so `compute` can feed
     /// the tenant's breaker with whatever this returns.
-    fn compute_for(&self, ctx: &Ctx<'_>, q: &PredictQuery, tenant: usize) -> Response {
+    fn compute_for(&self, ctx: &Ctx<'_>, q: &PredictRequest, tenant: usize) -> Response {
         let m = ctx.metrics();
         let t = ctx.shared.tenant(tenant);
         let kt = match t.advisor.kernel(&q.kernel, q.scale) {
@@ -448,16 +448,16 @@ pub(crate) struct Rank {
 }
 
 impl Rank {
-    fn query(&self, ctx: &Ctx<'_>, req: &Request) -> Result<(RankQuery, usize), Response> {
+    fn query(&self, ctx: &Ctx<'_>, req: &Request) -> Result<(RankRequest, usize), Response> {
         let v = parse_body(req)?;
-        let q = RankQuery::from_json(&v, self.search).map_err(api_error)?;
+        let q = RankRequest::from_json(&v, self.search).map_err(api_error)?;
         let tenant = ctx
             .resolve_config(q.config.as_deref())
             .map_err(|e| Response::error(400, &e))?;
         Ok((q, tenant))
     }
 
-    fn key(&self, advisor: &Advisor, q: &RankQuery) -> RankKey {
+    fn key(&self, advisor: &Advisor, q: &RankRequest) -> RankKey {
         RankKey {
             kernel: q.kernel.clone(),
             scale: q.scale,
@@ -524,7 +524,7 @@ impl Rank {
     /// cheaper strategy actually achieved. Degraded answers stay
     /// bit-deterministic — the downgraded strategy is itself
     /// deterministic — and are never cached.
-    fn compute_for(&self, ctx: &Ctx<'_>, q: &RankQuery, tenant: usize) -> Response {
+    fn compute_for(&self, ctx: &Ctx<'_>, q: &RankRequest, tenant: usize) -> Response {
         let m = ctx.metrics();
         let t = ctx.shared.tenant(tenant);
         let key = self.key(&t.advisor, q);

@@ -49,12 +49,10 @@ pub mod wire;
 pub use admission::{
     apply_cap, degradation_level, strategy_cap, BreakerState, CircuitBreaker, TokenBucket,
 };
-pub use api::{Advisor, ApiError, Effort, PredictQuery, RankQuery};
+pub use api::{Advisor, ApiError, Effort};
 pub use cache::ShardedLru;
 pub use handlers::{Ctx, Handler, Outcome, Response};
 pub use metrics::{Metrics, Route};
 pub use registry::{preset, ConfigRegistry, PRESET_NAMES};
 pub use server::{ready_state, ReadyState, ServerConfig, ServerHandle};
-#[allow(deprecated)]
-pub use server::{spawn, ServeConfig};
 pub use wire::{decode, Json, WireError};

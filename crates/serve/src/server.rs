@@ -47,7 +47,7 @@ use hms_trace::KernelTrace;
 use hms_types::{MemorySpace, PlacementMap};
 
 use crate::admission::{degradation_level, BreakerState, CircuitBreaker, TokenBucket};
-use crate::api::{named_placement, Advisor, PredictQuery};
+use crate::api::{named_placement, Advisor};
 use crate::cache::ShardedLru;
 use crate::conn::{Conn, FillResult};
 use crate::handlers::{self, Ctx, Handler, Outcome, Response};
@@ -56,7 +56,7 @@ use crate::metrics::{Metrics, Route};
 use crate::poller::{Interest, Poller, Waker};
 use crate::registry::ConfigRegistry;
 use crate::singleflight::{FlightKey, FlightTable, Join};
-use crate::wire::v1::error_body;
+use crate::wire::v1::{error_body, PredictRequest};
 
 /// How the event loops pace themselves when nothing is ready: the tick
 /// bounds slowloris-sweep granularity and shutdown latency.
@@ -351,53 +351,6 @@ impl ServerConfig {
     }
 }
 
-/// Server tunables for the original single-advisor entry point.
-#[deprecated(note = "use `ServerConfig` (builder) with a `ConfigRegistry` instead")]
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Bind address; port 0 picks an ephemeral port (printed/returned).
-    pub addr: String,
-    /// Worker threads (0 = one per core, minimum 2).
-    pub threads: usize,
-    /// Total entries across the prediction and search caches.
-    pub cache_entries: usize,
-    /// Per-request deadline.
-    pub deadline: Duration,
-    /// Pending cold jobs before new connections are shed with 503.
-    /// 0 sheds everything (useful for tests).
-    pub queue_depth: usize,
-    /// Cumulative budget for receiving one request (slowloris defense).
-    pub read_deadline: Duration,
-}
-
-#[allow(deprecated)]
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            threads: 0,
-            cache_entries: 4096,
-            deadline: Duration::from_millis(10_000),
-            queue_depth: 128,
-            read_deadline: Duration::from_millis(10_000),
-        }
-    }
-}
-
-/// Original entry point: one advisor, serving as the only tenant.
-#[deprecated(note = "use `ServerConfig::spawn` with a `ConfigRegistry` instead")]
-#[allow(deprecated)]
-pub fn spawn(cfg: ServeConfig, advisor: Advisor) -> std::io::Result<ServerHandle> {
-    ServerConfig::new()
-        .bind(cfg.addr)
-        .workers(cfg.threads)
-        .cache_entries(cfg.cache_entries)
-        .deadline(cfg.deadline)
-        .queue_depth(cfg.queue_depth)
-        .read_deadline(cfg.read_deadline)
-        .spawn(ConfigRegistry::new("default", advisor))
-}
-
 /// What `/readyz` reports (and `hms_ready_state` exposes as a gauge):
 /// liveness (`/healthz`) says the process can answer; readiness says it
 /// is worth sending real traffic.
@@ -452,7 +405,7 @@ impl PredKey {
     /// `placement` object hit the same entry.
     pub(crate) fn new(
         advisor: &Advisor,
-        q: &PredictQuery,
+        q: &PredictRequest,
         kt: &KernelTrace,
         resolved: &PlacementMap,
     ) -> PredKey {

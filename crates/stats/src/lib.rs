@@ -18,11 +18,11 @@
 //!   the PORPLE ranking comparison of Figure 6.
 //!
 //! Plus the workspace's hermetic-build substrates (no crates.io
-//! dependencies in the default graph):
+//! dependencies anywhere in the graph):
 //!
 //! * [`rng`] — deterministic xoshiro256++ PRNG with SplitMix64 seeding,
 //!   replacing `rand` for every workload generator and resampler;
-//! * [`par`] — a scoped, chunk-stealing worker pool over
+//! * [`par`] — a scoped, work-stealing worker pool over
 //!   `std::thread::scope`, replacing `rayon` in the experiment harness
 //!   and the placement search;
 //! * [`proptest_lite`] — a seeded property-test harness with
@@ -43,7 +43,7 @@ pub mod rng;
 pub use cosine::cosine_similarity;
 pub use descriptive::Summary;
 pub use distribution::{exp_cdf_distance, fit_exponential_rate, Histogram};
-pub use par::{max_threads, par_map, par_map_threads};
+pub use par::{max_threads, par_map};
 pub use queuing::{kingman_waiting_time, GG1Inputs};
 pub use rank::{rank_inversions, rank_of, spearman};
 pub use regression::{LinearModel, OlsFit};

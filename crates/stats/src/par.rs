@@ -2,15 +2,16 @@
 //!
 //! Replaces `rayon` in the experiment harness and the placement search:
 //! the workspace's hot paths are embarrassingly parallel maps over
-//! independent items (placements to rank, suites to simulate), so a
-//! chunk-stealing scoped pool covers them without any external crate.
+//! coarse, independent items (skeletons to build, placements to rank,
+//! suites to simulate), so a work-stealing scoped pool covers them
+//! without any external crate.
 //!
 //! Design:
 //!
 //! * workers share one atomic cursor into the item slice and claim
-//!   *chunks* of it (`max(1, n / (threads * 4))`, capped at 64), so
-//!   cheap items amortize the atomic traffic while stragglers still
-//!   steal work from long tails;
+//!   *one item at a time*, so a long item never strands a tail of
+//!   others behind the worker that holds it; every worker stays busy
+//!   until the queue drains;
 //! * each worker accumulates `(index, result)` pairs locally and the
 //!   caller reassembles them by index, so **output order always equals
 //!   input order regardless of thread count or scheduling** — parallel
@@ -19,7 +20,7 @@
 //!   threads), so a failing item behaves like it would in a plain loop.
 //!
 //! `HMS_THREADS` caps the pool globally (useful for CI determinism
-//! experiments and for sharing machines); `par_map_threads` pins it per
+//! experiments and for sharing machines); `par_map_steal` pins it per
 //! call.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,65 +49,14 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_threads(max_threads(), items, f)
+    par_map_steal(max_threads(), items, f)
 }
 
 /// [`par_map`] with an explicit worker count (`0` means [`max_threads`]).
 ///
-/// The output is identical for every `threads` value: results are
-/// reassembled by item index, so thread scheduling never reorders them.
-pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = if threads == 0 { max_threads() } else { threads };
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = (n / (workers * 4)).clamp(1, 64);
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        local.push((start + i, f(item)));
-                    }
-                }
-                collected
-                    .lock()
-                    .expect("no poisoned par_map worker")
-                    .extend(local);
-            });
-        }
-    });
-    let mut pairs = collected.into_inner().expect("all workers joined");
-    debug_assert_eq!(pairs.len(), n);
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map_threads`] with per-*item* work stealing: workers claim one
-/// item at a time off the shared cursor instead of a chunk. For coarse,
-/// unevenly-sized units (lane batches spanning different skeleton
-/// groups, whole benchmark suites) chunked claiming can strand a long
-/// tail behind one worker; stealing single units keeps every worker
-/// busy until the queue drains. Output order equals input order for
-/// every worker count, exactly like [`par_map_threads`].
+/// Workers claim one item at a time off a shared cursor. The output is
+/// identical for every `threads` value: results are reassembled by item
+/// index, so thread scheduling never reorders them.
 pub fn par_map_steal<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -168,9 +118,10 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for threads in [1, 2, 3, 8] {
-            let par = par_map_threads(threads, &items, |x| x * x + 1);
+            let par = par_map_steal(threads, &items, |x| x * x + 1);
             assert_eq!(par, seq, "threads = {threads}");
         }
+        assert_eq!(par_map(&items, |x| x * x + 1), seq);
     }
 
     #[test]
@@ -178,7 +129,7 @@ mod tests {
         // Early items are the slowest: a naive collect-in-completion-order
         // pool would reverse them.
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map_threads(4, &items, |&x| {
+        let out = par_map_steal(4, &items, |&x| {
             if x < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -197,7 +148,7 @@ mod tests {
     #[test]
     fn zero_thread_request_falls_back_to_auto() {
         let items: Vec<u32> = (0..10).collect();
-        assert_eq!(par_map_threads(0, &items, |x| *x), items);
+        assert_eq!(par_map_steal(0, &items, |x| *x), items);
     }
 
     #[test]
@@ -209,7 +160,7 @@ mod tests {
     #[should_panic]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..100).collect();
-        let _ = par_map_threads(4, &items, |&x| {
+        let _ = par_map_steal(4, &items, |&x| {
             assert!(x != 50, "boom");
             x
         });

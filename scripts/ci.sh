@@ -48,6 +48,15 @@ for seed in 7 170831 948276; do
         --test trace_properties --test engine_equivalence --test skeleton_cache
 done
 
+# perfbench (the repository's benchmark, BENCHMARK.json) is a workspace
+# of its own, so the root build and tests above never compile it. Its
+# unit tests build it against the crates' current public API.
+echo "==> perfbench unit tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# The bench gates below compare a fresh run, written by each bin to
+# target/bench/BENCH_*.json, against the committed BENCH_*.json baseline
+# at the repository root; a run never rewrites its own baseline.
 echo "==> search micro-benchmark (BENCH_search.json)"
 bench_num() {
     sed -n 's/^ *"'"$2"'": *\([0-9.eE+-]*\),*$/\1/p' "$1"
@@ -57,8 +66,8 @@ baseline_batch_cps="$(bench_num BENCH_search.json batch_candidates_per_sec)"
 [ -n "$baseline_cps" ] || { echo "no committed BENCH_search.json baseline"; exit 1; }
 [ -n "$baseline_batch_cps" ] || { echo "no committed batch baseline in BENCH_search.json"; exit 1; }
 cargo run -q -p hms-bench --release --offline --bin bench_search -- test
-current_cps="$(bench_num BENCH_search.json engine_candidates_per_sec)"
-current_batch_cps="$(bench_num BENCH_search.json batch_candidates_per_sec)"
+current_cps="$(bench_num target/bench/BENCH_search.json engine_candidates_per_sec)"
+current_batch_cps="$(bench_num target/bench/BENCH_search.json batch_candidates_per_sec)"
 echo "    engine_candidates_per_sec: baseline=$baseline_cps current=$current_cps"
 awk -v cur="$current_cps" -v base="$baseline_cps" 'BEGIN { exit !(cur >= 0.8 * base) }' || {
     echo "search throughput regressed >20% against the committed BENCH_search.json baseline"
@@ -77,7 +86,7 @@ bench_gap() {
 baseline_gap="$(bench_gap BENCH_anytime.json)"
 [ -n "$baseline_gap" ] || { echo "no committed BENCH_anytime.json baseline"; exit 1; }
 cargo run -q -p hms-bench --release --offline --bin bench_anytime -- gate
-current_gap="$(bench_gap BENCH_anytime.json)"
+current_gap="$(bench_gap target/bench/BENCH_anytime.json)"
 echo "    gate_gap_upper_bound: baseline=$baseline_gap current=$current_gap"
 # The gate gap is a pure function of the model (beam at a pinned width,
 # no deadline), so any growth is an engine/bound change, not noise; a
@@ -116,7 +125,7 @@ bench_rps() {
 baseline_rps="$(bench_rps BENCH_serve.json)"
 [ -n "$baseline_rps" ] || { echo "no committed BENCH_serve.json baseline"; exit 1; }
 cargo run -q -p hms-bench --release --offline --bin bench_serve -- gate
-current_rps="$(bench_rps BENCH_serve.json)"
+current_rps="$(bench_rps target/bench/BENCH_serve.json)"
 echo "    throughput_rps: baseline=$baseline_rps current=$current_rps"
 awk -v cur="$current_rps" -v base="$baseline_rps" 'BEGIN { exit !(cur >= 0.8 * base) }' || {
     echo "serve throughput regressed >20% against the committed BENCH_serve.json baseline"

@@ -21,8 +21,9 @@ use gpu_hms::core::{CacheFs, Predictor};
 use gpu_hms::faults::{
     FaultClient, FaultOutcome, FaultPlan, FaultyFs, FsFault, ResourceFaultKind, ResourceFaultPlan,
 };
-use gpu_hms::serve::api::{Effort, RankQuery};
+use gpu_hms::serve::api::Effort;
 use gpu_hms::serve::http::Request;
+use gpu_hms::serve::wire::v1::RankRequest;
 use gpu_hms::serve::{
     decode, ready_state, Advisor, ConfigRegistry, Ctx, Handler, Json, Metrics, Outcome, ReadyState,
     Response, ServerConfig,
@@ -538,7 +539,7 @@ fn deadline_partial_flag_reaches_the_wire_format() {
     // Advisor::rank *is* the server's body builder (byte-identity is the
     // serve crate's core claim), so asserting on it asserts the wire.
     let adv = advisor();
-    let q = RankQuery {
+    let q = RankRequest {
         kernel: "vecadd".into(),
         scale: gpu_hms::kernels::Scale::Test,
         top: 3,
