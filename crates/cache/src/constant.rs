@@ -49,15 +49,30 @@ impl ConstantCache {
     /// addresses. The addresses are deduplicated to whole cache-line
     /// granules first (the broadcast unit matches on the fetched word).
     pub fn access_warp(&mut self, lane_addrs: &[u64]) -> ConstAccessResult {
-        if lane_addrs.is_empty() {
-            return ConstAccessResult::default();
+        let (mut words, mut missed_lines) = (Vec::new(), Vec::new());
+        let (transactions, misses) =
+            self.access_warp_into(lane_addrs, &mut words, &mut missed_lines);
+        ConstAccessResult {
+            transactions,
+            misses,
+            replays: transactions.saturating_sub(1) + misses,
+            missed_lines,
         }
-        // Distinct addresses at word granularity define the serialized
-        // broadcast groups.
-        let mut distinct: Vec<u64> = lane_addrs.iter().map(|a| a / 4 * 4).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        self.access_words(&distinct)
+    }
+
+    /// Allocation-free [`access_warp`](Self::access_warp): the distinct
+    /// words (the serialized broadcast groups) are built in the caller's
+    /// `words` scratch and missed lines land in `missed` (both cleared
+    /// first). The analysis walk and the simulator call this once per
+    /// constant access with buffers they own.
+    pub fn access_warp_into(
+        &mut self,
+        lane_addrs: &[u64],
+        words: &mut Vec<u64>,
+        missed: &mut Vec<u64>,
+    ) -> (u32, u32) {
+        crate::granules_into(lane_addrs, 4, words);
+        self.access_words_into(words, missed)
     }
 
     /// Serve one warp load already deduplicated to sorted, word-aligned

@@ -31,3 +31,15 @@ pub use l2::{L2Cache, L2Source};
 pub use setassoc::{AccessOutcome, SetAssocCache};
 pub use shared::{shared_conflict_passes, SharedMemBanks};
 pub use texture::TextureCache;
+
+/// The sorted distinct `granule`-aligned addresses covering `addrs`,
+/// written into `out` (cleared first): a warp's texture lines
+/// (`granule` = line size) or constant broadcast words (`granule` = 4).
+/// The caches' `access_warp_into` and the engine's memo rows share this
+/// one definition, so a memoized line set is the set a probe would see.
+pub fn granules_into(addrs: &[u64], granule: u64, out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(addrs.iter().map(|a| a / granule * granule));
+    out.sort_unstable();
+    out.dedup();
+}

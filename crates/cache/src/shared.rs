@@ -7,31 +7,69 @@
 //! memory" is instruction-replay cause (4) in the paper: each extra pass
 //! is one replay.
 
+/// Lane counts up to this size are bank-sorted in a stack buffer; only
+/// wider (non-warp) inputs touch the heap.
+const STACK_LANES: usize = 64;
+
 /// Number of serialized passes a warp's shared-memory access needs, given
 /// the active lanes' byte addresses and the bank count.
 ///
 /// Lanes reading the *same* word broadcast for free; lanes reading
-/// different words in the same bank conflict.
+/// different words in the same bank conflict. The passes are the largest
+/// number of distinct words any one bank holds: the lanes' `(bank, word)`
+/// pairs are sorted so each bank's words sit in one run, duplicates
+/// adjacent, and the longest run of distinct words is counted. Up to
+/// 64 lanes the sort runs in a stack buffer, so a warp access never
+/// allocates; lanes that all sit on different banks skip the sort.
 pub fn shared_conflict_passes(lane_addrs: &[u64], banks: u32) -> u32 {
     if lane_addrs.is_empty() {
         return 0;
     }
-    let banks = banks.max(1) as u64;
-    // Per bank, count distinct words.
-    let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
-    for &a in lane_addrs {
-        let word = a / 4;
-        let bank = (word % banks) as usize;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+    let banks = u64::from(banks.max(1));
+    // A mask instead of a division for the usual power-of-two bank count.
+    let bank_of = |word: u64| {
+        if banks.is_power_of_two() {
+            word & (banks - 1)
+        } else {
+            word % banks
+        }
+    };
+    // Fast path: every lane on its own bank is one pass, no sort needed
+    // (the common conflict-free stride-1 access, staging copies included).
+    if banks <= 64 {
+        let mut seen = 0u64;
+        let distinct_banks = lane_addrs.iter().all(|&a| {
+            let bit = 1u64 << bank_of(a / 4);
+            let fresh = seen & bit == 0;
+            seen |= bit;
+            fresh
+        });
+        if distinct_banks {
+            return 1;
         }
     }
-    per_bank
-        .iter()
-        .map(|w| w.len() as u32)
-        .max()
-        .unwrap_or(0)
-        .max(1)
+    let mut stack = [(0u64, 0u64); STACK_LANES];
+    let mut heap = Vec::new();
+    let keys: &mut [(u64, u64)] = if lane_addrs.len() <= STACK_LANES {
+        &mut stack[..lane_addrs.len()]
+    } else {
+        heap.resize(lane_addrs.len(), (0, 0));
+        &mut heap
+    };
+    for (k, &a) in keys.iter_mut().zip(lane_addrs) {
+        let word = a / 4;
+        *k = (bank_of(word), word);
+    }
+    keys.sort_unstable();
+    let (mut passes, mut run) = (1u32, 1u32);
+    for pair in keys.windows(2) {
+        if pair[1] == pair[0] {
+            continue;
+        }
+        run = if pair[1].0 == pair[0].0 { run + 1 } else { 1 };
+        passes = passes.max(run);
+    }
+    passes
 }
 
 /// Running per-SM shared-memory statistics.
@@ -100,6 +138,13 @@ mod tests {
         // All 32 lanes hit bank 0 with distinct words: 32 passes.
         let addrs: Vec<u64> = (0..32u64).map(|i| i * 32 * 4).collect();
         assert_eq!(shared_conflict_passes(&addrs, 32), 32);
+    }
+
+    #[test]
+    fn wider_than_stack_buffer_counts_every_lane() {
+        // 96 lanes on one bank: past the stack buffer, onto the heap.
+        let addrs: Vec<u64> = (0..96u64).map(|i| i * 32 * 4).collect();
+        assert_eq!(shared_conflict_passes(&addrs, 32), 96);
     }
 
     #[test]

@@ -43,14 +43,29 @@ impl TextureCache {
 
     /// Serve one warp texture fetch given active lanes' byte addresses.
     pub fn access_warp(&mut self, lane_addrs: &[u64]) -> TexAccessResult {
-        if lane_addrs.is_empty() {
-            return TexAccessResult::default();
+        let (mut lines, mut missed_lines) = (Vec::new(), Vec::new());
+        let (transactions, misses) =
+            self.access_warp_into(lane_addrs, &mut lines, &mut missed_lines);
+        TexAccessResult {
+            transactions,
+            misses,
+            missed_lines,
         }
-        let line = self.cache.geometry().line_bytes;
-        let mut lines: Vec<u64> = lane_addrs.iter().map(|a| a / line * line).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        self.access_lines(&lines)
+    }
+
+    /// Allocation-free [`access_warp`](Self::access_warp): the warp's
+    /// sorted distinct lines are built in the caller's `lines` scratch
+    /// and the missing ones land in `missed` (both cleared first). The
+    /// analysis walk and the simulator call this once per texture
+    /// access with buffers they own.
+    pub fn access_warp_into(
+        &mut self,
+        lane_addrs: &[u64],
+        lines: &mut Vec<u64>,
+        missed: &mut Vec<u64>,
+    ) -> (u32, u32) {
+        crate::granules_into(lane_addrs, self.cache.geometry().line_bytes, lines);
+        self.access_lines_into(lines, missed)
     }
 
     /// Serve one warp fetch already deduplicated to sorted, line-aligned

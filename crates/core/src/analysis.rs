@@ -21,16 +21,19 @@
 //!
 //! * [`analyze`] (and the observed variant the incremental engine
 //!   records through) streams over a [`ColumnarTrace`] — the
-//!   struct-of-arrays decomposition of the trace — so each op decode is
-//!   a couple of column loads and each access hands the cache models a
-//!   contiguous `&[u64]` address slice with zero per-op allocation;
+//!   struct-of-arrays decomposition of the trace, with the staging
+//!   copies generated straight into its arenas — so each op decode is
+//!   a couple of column loads, each access hands the cache models a
+//!   contiguous `&[u64]` address slice, and coalescing, bank sorting
+//!   and texture/constant line sets run in reused scratch: zero per-op
+//!   allocation;
 //! * [`analyze_reference`] is the original per-op walk over
 //!   [`CInstr`] structs, kept as the independent oracle the
 //!   property/fuzz equivalence net compares against bit for bit.
 
 use hms_cache::{ConstantCache, L2Cache, L2Source, SharedMemBanks, TextureCache};
 use hms_sim::copy::{shared_init_prologue, shared_writeback_epilogue};
-use hms_trace::{coalesce, CInstr, ColumnarTrace, ConcreteTrace, OpRange, OpView};
+use hms_trace::{coalesce, coalesce_into, CInstr, ColumnarTrace, ConcreteTrace, OpRange, OpView};
 use hms_types::{GpuConfig, MemorySpace};
 
 /// One predicted DRAM request.
@@ -219,8 +222,9 @@ impl Default for AnalysisOptions {
 /// them to compose other candidates' analyses without re-walking the
 /// trace. The event split mirrors what is placement-dependent:
 /// `Advance` covers every issue slot whose count cannot change between
-/// candidates sharing the walk (ALU runs, syncs, local and staging
-/// instructions), `AddrCalc` and `Access` cover the parts that can.
+/// candidates sharing the walk (ALU runs, syncs, local instructions, and
+/// staging copies that touch no off-chip memory), `AddrCalc` and `Body`
+/// cover the parts that can.
 #[derive(Debug)]
 pub(crate) enum WalkEvent<'a> {
     /// `n` placement-invariant issue slots retired on `sm`.
@@ -231,21 +235,26 @@ pub(crate) enum WalkEvent<'a> {
         array: hms_types::ArrayId,
         count: u16,
     },
-    /// A warp memory access, decoded from the columnar trace. `addrs`
-    /// is the dense active-lane address slice; `body_idx` is the
-    /// instruction's index in the warp's body stream, or `None` for
-    /// staging prologue/epilogue copies. Emitted *before* the access's
-    /// cache probes.
-    Access {
+    /// A body memory access of warp `(block, warp)`, the `warp_idx`-th
+    /// warp of the trace, at index `body_idx` of its body stream.
+    /// Emitted *before* the access's cache probes.
+    Body {
         sm: usize,
+        warp_idx: usize,
         block: u32,
         warp: u32,
-        body_idx: Option<usize>,
+        body_idx: usize,
         array: hms_types::ArrayId,
-        space: MemorySpace,
+    },
+    /// A staging copy's global access: the transactions the walk
+    /// coalesced it into (ascending) and their divergence replays, so
+    /// the observer need not coalesce again. Emitted before the L2
+    /// probes.
+    StagingGlobal {
+        sm: usize,
         is_store: bool,
-        elem_bytes: u8,
-        addrs: &'a [u64],
+        replays: u32,
+        transactions: &'a [u64],
     },
     /// An L1-missed local transaction continuing to L2 (the L1 outcome
     /// is walk-internal state the observer cannot recompute).
@@ -335,6 +344,8 @@ struct ColCursor {
     total: u32,
     outstanding: u32,
     loads_since_wait: u32,
+    /// Position of the warp in the trace's warp list.
+    warp_idx: usize,
     block: u32,
     warp: u32,
 }
@@ -354,9 +365,12 @@ impl ColCursor {
 /// walk order — the recording entry point of the incremental engine.
 ///
 /// This is the columnar walk: the trace is decomposed once into a
-/// [`ColumnarTrace`] (staging copies appended into the same arenas) and
-/// the round-robin scheduler loop then decodes ops from flat columns,
-/// handing the cache models contiguous address slices.
+/// [`ColumnarTrace`], each wave's staging copies are generated straight
+/// into the same arenas (and dropped again when the wave ends), and the
+/// round-robin scheduler loop decodes ops from flat columns, handing
+/// the cache models contiguous address slices. Coalescing and the
+/// texture/constant line sets go through walk-owned scratch buffers, so
+/// the heap is touched per wave and per warp, never per op.
 pub(crate) fn analyze_observed(
     trace: &ConcreteTrace,
     cfg: &GpuConfig,
@@ -368,6 +382,7 @@ pub(crate) fn analyze_observed(
     let num_sms = shape.num_sms;
 
     let mut col = ColumnarTrace::from_concrete(trace);
+    let body_mark = col.mark();
 
     // Group warps (by index into `col.warps()`) per block.
     let mut block_warps: Vec<Vec<usize>> = vec![Vec::new(); shape.blocks];
@@ -391,16 +406,25 @@ pub(crate) fn analyze_observed(
         .map(|_| hms_cache::SetAssocCache::new(cfg.l1_cache))
         .collect();
     let mut sm_pos = vec![0u64; num_sms];
+    let mut per_sm: Vec<Vec<ColCursor>> = (0..num_sms).map(|_| Vec::new()).collect();
 
     let mut wait_count: u64 = 0;
     let mut loads_total: u64 = 0;
-    // Reused local-address scratch: cleared per local op, never freed.
+    // Reused per-op scratch, cleared by each use and never freed: local
+    // lane addresses, coalesced transactions, texture lines / constant
+    // words, and their missed lines.
     let mut local_scratch: Vec<u64> = Vec::new();
+    let mut txs: Vec<u64> = Vec::new();
+    let mut granules: Vec<u64> = Vec::new();
+    let mut missed: Vec<u64> = Vec::new();
 
     for wave in 0..shape.waves {
         // Collect this wave's warp cursors per SM, appending each
         // warp's staging copies into the columnar arenas first.
-        let mut per_sm: Vec<Vec<ColCursor>> = (0..num_sms).map(|_| Vec::new()).collect();
+        col.rewind(body_mark);
+        for cursors in &mut per_sm {
+            cursors.clear();
+        }
         for k in 0..shape.blocks_per_sm {
             for sm in 0..num_sms {
                 let b = wave * shape.wave_span + k * num_sms + sm;
@@ -409,25 +433,23 @@ pub(crate) fn analyze_observed(
                 }
                 for &wi in &block_warps[b] {
                     let w = col.warps()[wi];
+                    // The prologue runs before the body; the epilogue
+                    // order relative to the body does not affect
+                    // counting, so the concatenation keeps the walk
+                    // simple.
                     let pro = if opts.include_staging {
-                        let mut v = shared_init_prologue(trace, w.block, w.warp, cfg);
-                        v.extend(shared_writeback_epilogue(trace, w.block, w.warp, cfg));
-                        // The prologue runs before the body; the
-                        // epilogue order relative to the body does not
-                        // affect counting, so the concatenation keeps
-                        // the walk simple.
-                        col.push_ops(&v)
+                        col.push_staging(w.block, w.warp, cfg.warp_size)
                     } else {
                         OpRange { start: 0, len: 0 }
                     };
-                    let body = col.warps()[wi].ops;
                     per_sm[sm].push(ColCursor {
                         pro,
-                        body,
+                        body: w.ops,
                         pc: 0,
-                        total: pro.len + body.len,
+                        total: pro.len + w.ops.len,
                         outstanding: 0,
                         loads_since_wait: 0,
+                        warp_idx: wi,
                         block: w.block,
                         warp: w.warp,
                     });
@@ -509,22 +531,26 @@ pub(crate) fn analyze_observed(
                             if local_scratch.is_empty() {
                                 continue;
                             }
-                            let co =
-                                coalesce(local_scratch.iter().copied(), 4, cfg.transaction_bytes);
-                            out.replay_local += u64::from(co.replays);
-                            for t in &co.transactions {
-                                if !l1_caches[sm].access_rw(*t, is_store).is_hit() {
+                            let replays = coalesce_into(
+                                local_scratch.iter().copied(),
+                                4,
+                                cfg.transaction_bytes,
+                                &mut txs,
+                            );
+                            out.replay_local += u64::from(replays);
+                            for &t in &txs {
+                                if !l1_caches[sm].access_rw(t, is_store).is_hit() {
                                     out.l1_local_misses += 1;
                                     out.replay_local += 1;
                                     obs.event(WalkEvent::LocalFill {
                                         sm,
-                                        addr: *t,
+                                        addr: t,
                                         is_store,
                                     });
                                     l2_fill(
                                         &mut l2,
                                         &mut out,
-                                        *t,
+                                        t,
                                         L2Source::Global,
                                         sm_pos[sm],
                                         sm as u32,
@@ -544,17 +570,25 @@ pub(crate) fn analyze_observed(
                             out.executed += 1;
                             out.mem_instrs += 1;
                             sm_pos[sm] += 1;
-                            obs.event(WalkEvent::Access {
-                                sm,
-                                block: cur.block,
-                                warp: cur.warp,
-                                body_idx: pc0.checked_sub(cur.pro.len).map(|i| i as usize),
-                                array,
-                                space,
-                                is_store,
-                                elem_bytes,
-                                addrs,
-                            });
+                            // Staging copies touch only global and shared
+                            // memory. A shared (or empty) one replays as a
+                            // plain issue slot, its counters being skeleton
+                            // constants; a global one is handed to the
+                            // observer with its transactions below.
+                            let staging = pc0 < cur.pro.len;
+                            if !staging {
+                                obs.event(WalkEvent::Body {
+                                    sm,
+                                    warp_idx: cur.warp_idx,
+                                    block: cur.block,
+                                    warp: cur.warp,
+                                    body_idx: (pc0 - cur.pro.len) as usize,
+                                    array,
+                                });
+                            } else if addrs.is_empty() || space != MemorySpace::Global {
+                                debug_assert!(space == MemorySpace::Shared || addrs.is_empty());
+                                obs.event(WalkEvent::Advance { sm, n: 1 });
+                            }
                             if !is_store {
                                 cur.outstanding += 1;
                                 cur.loads_since_wait += 1;
@@ -569,17 +603,21 @@ pub(crate) fn analyze_observed(
                                     out.replay_shared_conflict += u64::from(r);
                                 }
                                 MemorySpace::Constant => {
-                                    let r = const_caches[sm].access_warp(addrs);
+                                    let (transactions, misses) = const_caches[sm].access_warp_into(
+                                        addrs,
+                                        &mut granules,
+                                        &mut missed,
+                                    );
                                     out.const_requests += 1;
-                                    out.const_transactions += u64::from(r.transactions);
-                                    out.const_misses += u64::from(r.misses);
-                                    out.replay_const_divergence += u64::from(r.transactions - 1);
-                                    out.replay_const_miss += u64::from(r.misses);
-                                    for line in &r.missed_lines {
+                                    out.const_transactions += u64::from(transactions);
+                                    out.const_misses += u64::from(misses);
+                                    out.replay_const_divergence += u64::from(transactions - 1);
+                                    out.replay_const_miss += u64::from(misses);
+                                    for &line in &missed {
                                         l2_fill(
                                             &mut l2,
                                             &mut out,
-                                            *line,
+                                            line,
                                             L2Source::Constant,
                                             sm_pos[sm],
                                             sm as u32,
@@ -588,15 +626,19 @@ pub(crate) fn analyze_observed(
                                     }
                                 }
                                 MemorySpace::Texture1D | MemorySpace::Texture2D => {
-                                    let r = tex_caches[sm].access_warp(addrs);
+                                    let (transactions, misses) = tex_caches[sm].access_warp_into(
+                                        addrs,
+                                        &mut granules,
+                                        &mut missed,
+                                    );
                                     out.tex_requests += 1;
-                                    out.tex_transactions += u64::from(r.transactions);
-                                    out.tex_misses += u64::from(r.misses);
-                                    for line in &r.missed_lines {
+                                    out.tex_transactions += u64::from(transactions);
+                                    out.tex_misses += u64::from(misses);
+                                    for &line in &missed {
                                         l2_fill(
                                             &mut l2,
                                             &mut out,
-                                            *line,
+                                            line,
                                             L2Source::Texture,
                                             sm_pos[sm],
                                             sm as u32,
@@ -605,19 +647,28 @@ pub(crate) fn analyze_observed(
                                     }
                                 }
                                 MemorySpace::Global => {
-                                    let co = coalesce(
+                                    let replays = coalesce_into(
                                         addrs.iter().copied(),
                                         u64::from(elem_bytes),
                                         cfg.transaction_bytes,
+                                        &mut txs,
                                     );
+                                    if staging {
+                                        obs.event(WalkEvent::StagingGlobal {
+                                            sm,
+                                            is_store,
+                                            replays,
+                                            transactions: &txs,
+                                        });
+                                    }
                                     out.global_requests += 1;
-                                    out.global_transactions += co.transactions.len() as u64;
-                                    out.replay_global_divergence += u64::from(co.replays);
-                                    for t in &co.transactions {
+                                    out.global_transactions += txs.len() as u64;
+                                    out.replay_global_divergence += u64::from(replays);
+                                    for &t in &txs {
                                         l2_fill(
                                             &mut l2,
                                             &mut out,
-                                            *t,
+                                            t,
                                             L2Source::Global,
                                             sm_pos[sm],
                                             sm as u32,

@@ -56,7 +56,7 @@ use std::time::Instant;
 
 use hms_cache::{ConstantCache, L2Cache, L2Source, TextureCache};
 use hms_trace::{
-    addr_calc_instrs, coalesce, element_offset, recover_elem_indices, rewrite, CInstr, ElemIdx,
+    addr_calc_instrs, coalesce_into, element_offset, recover_elem_indices, rewrite, CInstr, ElemIdx,
 };
 use hms_types::{ArrayId, DType, GpuConfig, HmsError, MemorySpace, PlacementMap};
 
@@ -639,8 +639,8 @@ pub(crate) struct EngineStatics {
     dtypes: Vec<DType>,
     /// Per array, its body accesses in sample-trace order.
     access_info: Vec<Vec<AccessShape>>,
-    /// `(block, warp)` → per-body-instruction `(array, ordinal)`.
-    warp_body_map: HashMap<(u32, u32), Vec<Option<(ArrayId, u32)>>>,
+    /// Per warp, in trace order: per-body-instruction `(array, ordinal)`.
+    warp_body_map: Vec<WarpBody>,
     lb: LbStatics,
     /// Sample-trace analysis, shared across predictions by the
     /// non-detailed model variants (computed once instead of per call).
@@ -655,6 +655,18 @@ pub(crate) struct EngineStatics {
     /// so a concrete `(base, stride)` row is the base-0 row with `base`
     /// added to every address, bit-exactly (see `Engine::build_memo`).
     base_rows: Mutex<HashMap<(ArrayId, u8, u64), Arc<MemoRow>>>,
+}
+
+/// One warp's body accesses: for each body instruction, the accessed
+/// array and the access's ordinal among that array's accesses (`None`
+/// for non-memory instructions). The walk of any rewrite of the sample
+/// visits warps in the sample's order, so the recorder indexes these by
+/// warp position and checks `(block, warp)` instead of hashing it.
+#[derive(Debug)]
+struct WarpBody {
+    block: u32,
+    warp: u32,
+    slots: Vec<Option<(ArrayId, u32)>>,
 }
 
 /// Key identifying one statics entry: the machine + model shape the
@@ -790,7 +802,7 @@ impl EngineStatics {
         let n = trace.arrays.len();
 
         let mut access_info: Vec<Vec<AccessShape>> = (0..n).map(|_| Vec::new()).collect();
-        let mut warp_body_map = HashMap::new();
+        let mut warp_body_map = Vec::with_capacity(trace.warps.len());
         let mut body_fixed_executed = 0u64;
         let mut body_syncs = 0u64;
         let mut body_mem_instrs = 0u64;
@@ -841,7 +853,11 @@ impl EngineStatics {
                 }
                 per_instr.push(slot);
             }
-            warp_body_map.insert((w.block, w.warp), per_instr);
+            warp_body_map.push(WarpBody {
+                block: w.block,
+                warp: w.warp,
+                slots: per_instr,
+            });
         }
 
         // Per-array, per-space stateless floors. Offsets are computed at
@@ -852,6 +868,8 @@ impl EngineStatics {
         let mut body_requests = vec![0u64; n];
         let mut legal_spaces: Vec<Vec<MemorySpace>> = vec![Vec::new(); n];
         let all_global = PlacementMap::all_global(n);
+        // Reused per-access scratch: offsets and transactions / words.
+        let (mut offs, mut granules) = (Vec::new(), Vec::new());
         for (i, arr) in trace.arrays.iter().enumerate() {
             for space in MemorySpace::ALL {
                 expansion[i][space_idx(space)] =
@@ -865,26 +883,26 @@ impl EngineStatics {
                 }
             }
             for acc in &access_info[i] {
-                let offs: Vec<u64> = acc
-                    .idx
-                    .iter()
-                    .flatten()
-                    .map(|&ix| element_offset(arr, MemorySpace::Global, ix, cfg))
-                    .collect();
+                offs.clear();
+                offs.extend(
+                    acc.idx
+                        .iter()
+                        .flatten()
+                        .map(|&ix| element_offset(arr, MemorySpace::Global, ix, cfg)),
+                );
                 if offs.is_empty() {
                     continue;
                 }
                 body_requests[i] += 1;
-                let co = coalesce(
+                let replays = coalesce_into(
                     offs.iter().copied(),
                     u64::from(acc.elem_bytes),
                     cfg.transaction_bytes,
+                    &mut granules,
                 );
-                stateless_replays[i][space_idx(MemorySpace::Global)] += u64::from(co.replays);
-                let mut words: Vec<u64> = offs.iter().map(|a| a / 4 * 4).collect();
-                words.sort_unstable();
-                words.dedup();
-                stateless_replays[i][space_idx(MemorySpace::Constant)] += words.len() as u64 - 1;
+                stateless_replays[i][space_idx(MemorySpace::Global)] += u64::from(replays);
+                hms_cache::granules_into(&offs, 4, &mut granules);
+                stateless_replays[i][space_idx(MemorySpace::Constant)] += granules.len() as u64 - 1;
                 stateless_replays[i][space_idx(MemorySpace::Shared)] += u64::from(
                     hms_cache::shared_conflict_passes(&offs, cfg.shared_banks).saturating_sub(1),
                 );
@@ -1178,67 +1196,56 @@ impl<'a> Engine<'a> {
             start: 0,
             len: 0,
         };
+        // Reused per-access scratch: the lanes' addresses and their
+        // transactions / lines / words.
+        let (mut lanes, mut granules) = (Vec::new(), Vec::new());
         for acc in accesses {
             let base = bases.0 + bases.1 * u64::from(acc.block);
-            let addrs: Vec<u64> = acc
-                .idx
-                .iter()
-                .flatten()
-                .map(|&ix| base + element_offset(arr, space, ix, cfg))
-                .collect();
-            if addrs.is_empty() {
+            lanes.clear();
+            lanes.extend(
+                acc.idx
+                    .iter()
+                    .flatten()
+                    .map(|&ix| base + element_offset(arr, space, ix, cfg)),
+            );
+            if lanes.is_empty() {
                 row.items.push(empty);
                 continue;
             }
             let start = row.addrs.len() as u32;
-            let item = match space {
+            let (kind, is_store, replays) = match space {
                 MemorySpace::Global => {
-                    let co = coalesce(
-                        addrs.iter().copied(),
+                    let replays = coalesce_into(
+                        lanes.iter().copied(),
                         u64::from(acc.elem_bytes),
                         cfg.transaction_bytes,
+                        &mut granules,
                     );
-                    row.addrs.extend_from_slice(&co.transactions);
-                    MemoItem {
-                        kind: MemoKind::Global,
-                        is_store: acc.is_store,
-                        replays: co.replays,
-                        start,
-                        len: co.transactions.len() as u32,
-                    }
+                    (MemoKind::Global, acc.is_store, replays)
                 }
                 MemorySpace::Texture1D | MemorySpace::Texture2D => {
-                    let mut lines: Vec<u64> =
-                        addrs.iter().map(|a| a / tex_line * tex_line).collect();
-                    lines.sort_unstable();
-                    lines.dedup();
-                    row.addrs.extend_from_slice(&lines);
-                    MemoItem {
-                        kind: MemoKind::Tex,
-                        is_store: false,
-                        replays: 0,
-                        start,
-                        len: lines.len() as u32,
-                    }
+                    hms_cache::granules_into(&lanes, tex_line, &mut granules);
+                    (MemoKind::Tex, false, 0)
                 }
                 MemorySpace::Constant => {
-                    let mut words: Vec<u64> = addrs.iter().map(|a| a / 4 * 4).collect();
-                    words.sort_unstable();
-                    words.dedup();
-                    row.addrs.extend_from_slice(&words);
-                    MemoItem {
-                        kind: MemoKind::Const,
-                        is_store: false,
-                        replays: 0,
-                        start,
-                        len: words.len() as u32,
-                    }
+                    hms_cache::granules_into(&lanes, 4, &mut granules);
+                    (MemoKind::Const, false, 0)
                 }
                 // Shared-placed arrays never appear as Body events;
                 // an empty outcome keeps the replay total-safe.
-                MemorySpace::Shared => empty,
+                MemorySpace::Shared => {
+                    row.items.push(empty);
+                    continue;
+                }
             };
-            row.items.push(item);
+            row.addrs.extend_from_slice(&granules);
+            row.items.push(MemoItem {
+                kind,
+                is_store,
+                replays,
+                start,
+                len: granules.len() as u32,
+            });
         }
         row
     }
@@ -1390,7 +1397,6 @@ impl<'a> Engine<'a> {
             return poisoned_skeleton();
         };
         let mut rec = Recorder {
-            cfg,
             map: &self.st.warp_body_map,
             events: Vec::new(),
             tx_arena: Vec::new(),
@@ -1886,12 +1892,13 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Records [`WalkEvent`]s into the skeleton's replayable stream,
-/// accumulating staging coalescing and merging adjacent same-SM
-/// advances.
+/// Records [`WalkEvent`]s into the skeleton's replayable stream: body
+/// accesses resolve to `(array, ordinal)` through the per-warp body map
+/// (indexed by warp position, identity-checked), staging transactions
+/// are copied from the walk's own coalescing, and adjacent same-SM
+/// advances merge.
 struct Recorder<'e> {
-    cfg: &'e GpuConfig,
-    map: &'e HashMap<(u32, u32), Vec<Option<(ArrayId, u32)>>>,
+    map: &'e [WarpBody],
     events: Vec<EventRec>,
     tx_arena: Vec<u64>,
     /// Index of the last `Advance` per SM, merge target for runs.
@@ -1949,70 +1956,55 @@ impl WalkObserver for Recorder<'_> {
                     tx_len: 0,
                 });
             }
-            WalkEvent::Access {
+            WalkEvent::Body {
                 sm,
+                warp_idx,
                 block,
                 warp,
                 body_idx,
                 array: ev_array,
-                space,
-                is_store,
-                elem_bytes,
-                addrs,
-            } => match body_idx {
-                Some(i) => {
-                    match self
-                        .map
-                        .get(&(block, warp))
-                        .and_then(|v| v.get(i))
-                        .copied()
-                        .flatten()
-                    {
-                        Some((array, ordinal)) => {
-                            debug_assert_eq!(array, ev_array);
-                            self.last_advance[sm] = None;
-                            self.events.push(EventRec {
-                                kind: EV_BODY,
-                                flag: 0,
-                                sm: sm as u16,
-                                arr: array.0,
-                                x: u64::from(ordinal),
-                                tx: 0,
-                                tx_len: 0,
-                            });
-                        }
-                        None => self.ok = false,
-                    }
+            } => match self
+                .map
+                .get(warp_idx)
+                .filter(|w| (w.block, w.warp) == (block, warp))
+                .and_then(|w| w.slots.get(body_idx))
+                .copied()
+                .flatten()
+            {
+                Some((array, ordinal)) => {
+                    debug_assert_eq!(array, ev_array);
+                    self.last_advance[sm] = None;
+                    self.events.push(EventRec {
+                        kind: EV_BODY,
+                        flag: 0,
+                        sm: sm as u16,
+                        arr: array.0,
+                        x: u64::from(ordinal),
+                        tx: 0,
+                        tx_len: 0,
+                    });
                 }
-                None => {
-                    // Staging copies touch only global and shared
-                    // memory; shared staging counters are skeleton
-                    // constants, so only the position advance replays.
-                    if addrs.is_empty() || space == MemorySpace::Shared {
-                        self.advance(sm, 1);
-                    } else if space == MemorySpace::Global {
-                        let co = coalesce(
-                            addrs.iter().copied(),
-                            u64::from(elem_bytes),
-                            self.cfg.transaction_bytes,
-                        );
-                        self.last_advance[sm] = None;
-                        let tx = self.tx_arena.len() as u32;
-                        self.tx_arena.extend_from_slice(&co.transactions);
-                        self.events.push(EventRec {
-                            kind: EV_STAGING_GLOBAL,
-                            flag: u8::from(is_store),
-                            sm: sm as u16,
-                            arr: 0,
-                            x: u64::from(co.replays),
-                            tx,
-                            tx_len: co.transactions.len() as u32,
-                        });
-                    } else {
-                        self.ok = false;
-                    }
-                }
+                None => self.ok = false,
             },
+            WalkEvent::StagingGlobal {
+                sm,
+                is_store,
+                replays,
+                transactions,
+            } => {
+                self.last_advance[sm] = None;
+                let tx = self.tx_arena.len() as u32;
+                self.tx_arena.extend_from_slice(transactions);
+                self.events.push(EventRec {
+                    kind: EV_STAGING_GLOBAL,
+                    flag: u8::from(is_store),
+                    sm: sm as u16,
+                    arr: 0,
+                    x: u64::from(replays),
+                    tx,
+                    tx_len: transactions.len() as u32,
+                });
+            }
         }
     }
 }

@@ -33,7 +33,7 @@
 
 use hms_cache::{ConstantCache, L2Cache, L2Source, SetAssocCache, SharedMemBanks, TextureCache};
 use hms_dram::{AddressMapping, MemoryController};
-use hms_trace::{coalesce, CInstr, CMemRef, ConcreteTrace, ConcreteWarp};
+use hms_trace::{coalesce_into, CInstr, ConcreteTrace, ConcreteWarp};
 use hms_types::{GpuConfig, HmsError, MemorySpace};
 
 use crate::copy::{shared_init_prologue, shared_writeback_epilogue};
@@ -132,6 +132,32 @@ impl<'t> WarpCtx<'t> {
     }
 }
 
+/// The shape of the memory instruction a warp is issuing, copied out of
+/// the trace so the access can run while the machine is borrowed
+/// mutably.
+#[derive(Clone, Copy)]
+enum Access {
+    Mem {
+        space: MemorySpace,
+        is_store: bool,
+        elem_bytes: u8,
+    },
+    Local {
+        is_store: bool,
+    },
+}
+
+/// Reused per-access buffers (the simulator is single-threaded, so one
+/// set serves every SM): the active lanes' addresses, the coalesced
+/// transactions or texture lines / constant words, and the lines that
+/// missed. Cleared by each use, never freed.
+#[derive(Default)]
+struct AccessScratch {
+    lanes: Vec<u64>,
+    granules: Vec<u64>,
+    missed: Vec<u64>,
+}
+
 struct BlockCtx {
     alive: u32,
     arrived: u32,
@@ -163,6 +189,7 @@ struct Machine<'t> {
     block_warps: Vec<Vec<&'t ConcreteWarp>>,
     next_block: usize,
     max_blocks_per_sm: usize,
+    scratch: AccessScratch,
 }
 
 impl<'t> Machine<'t> {
@@ -212,6 +239,7 @@ impl<'t> Machine<'t> {
             block_warps,
             next_block: 0,
             max_blocks_per_sm,
+            scratch: AccessScratch::default(),
         }
     }
 
@@ -545,38 +573,64 @@ impl<'t> Machine<'t> {
                 };
             }
         }
-        // First slot: perform the access. Clone the lane addresses out to
-        // appease the borrow checker (32 words, cheap).
-        let instr = {
-            let w = &self.sms[sm_id].warps[wi];
-            w.at(w.pc)
-                .expect("pc points at a memory instruction")
-                .clone()
-        };
-        let (replays_and_completion, is_load) = match &instr {
-            CInstr::Mem(m) => (None, !m.is_store),
-            CInstr::Local { is_store, .. } => (Some(()), !is_store),
-            _ => unreachable!("issue_mem on non-memory instruction"),
-        };
-        let _ = replays_and_completion;
         // LSU capacity: a full load queue stalls the warp.
+        let is_load = {
+            let w = &self.sms[sm_id].warps[wi];
+            match w.at(w.pc).expect("pc points at a memory instruction") {
+                CInstr::Mem(m) => !m.is_store,
+                CInstr::Local { is_store, .. } => !is_store,
+                _ => unreachable!("issue_mem on non-memory instruction"),
+            }
+        };
         if is_load
             && self.sms[sm_id].warps[wi].pending.len() >= self.cfg.max_pending_per_warp as usize
         {
             return IssueOutcome::Nothing;
         }
 
-        let (replays, completion) = match &instr {
-            CInstr::Mem(m) => self.perform_access(sm_id, m, now),
-            CInstr::Local { is_store, slots } => {
-                let (block, warp) = {
-                    let w = &self.sms[sm_id].warps[wi];
-                    (w.block, w.warp)
-                };
-                self.perform_local(sm_id, block, warp, *is_store, slots, now)
+        // First slot: perform the access. The instruction's shape is
+        // copied out and its active lane addresses gathered into the
+        // machine's scratch, so no per-access heap allocation happens.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.lanes.clear();
+        let access = {
+            let w = &self.sms[sm_id].warps[wi];
+            match w.at(w.pc).expect("pc points at a memory instruction") {
+                CInstr::Mem(m) => {
+                    scratch.lanes.extend(m.active_addrs());
+                    Access::Mem {
+                        space: m.space,
+                        is_store: m.is_store,
+                        elem_bytes: m.elem_bytes,
+                    }
+                }
+                CInstr::Local { is_store, slots } => {
+                    use hms_trace::concrete::local_addr;
+                    let g = &self.trace.geometry;
+                    let total_threads = g.total_threads();
+                    scratch
+                        .lanes
+                        .extend(slots.iter().enumerate().filter_map(|(lane, &slot)| {
+                            g.thread_id(w.block, w.warp, lane as u32)
+                                .map(|tid| local_addr(slot, tid, total_threads))
+                        }));
+                    Access::Local {
+                        is_store: *is_store,
+                    }
+                }
+                _ => unreachable!("issue_mem on non-memory instruction"),
             }
-            _ => unreachable!(),
         };
+
+        let (replays, completion) = match access {
+            Access::Mem {
+                space,
+                is_store,
+                elem_bytes,
+            } => self.perform_access(sm_id, space, is_store, elem_bytes, &mut scratch, now),
+            Access::Local { is_store } => self.perform_local(sm_id, is_store, &mut scratch, now),
+        };
+        self.scratch = scratch;
 
         self.events.inst_issued += 1;
         self.events.issue_slots += 1;
@@ -600,17 +654,25 @@ impl<'t> Machine<'t> {
         }
     }
 
-    /// Execute the memory semantics of one warp access; returns
-    /// `(replays, completion_cycle)`.
-    fn perform_access(&mut self, sm_id: usize, m: &CMemRef, now: u64) -> (u32, u64) {
-        let lane_addrs: Vec<u64> = m.active_addrs().collect();
-        if lane_addrs.is_empty() {
+    /// Execute the memory semantics of one warp access over the active
+    /// lanes' addresses in `s.lanes`; returns `(replays,
+    /// completion_cycle)`.
+    fn perform_access(
+        &mut self,
+        sm_id: usize,
+        space: MemorySpace,
+        is_store: bool,
+        elem_bytes: u8,
+        s: &mut AccessScratch,
+        now: u64,
+    ) -> (u32, u64) {
+        if s.lanes.is_empty() {
             return (0, now);
         }
-        match m.space {
+        match space {
             MemorySpace::Shared => {
-                let replays = self.sms[sm_id].shared_banks.access_warp(&lane_addrs);
-                if m.is_store {
+                let replays = self.sms[sm_id].shared_banks.access_warp(&s.lanes);
+                if is_store {
                     self.events.shared_st_requests += 1;
                 } else {
                     self.events.shared_ld_requests += 1;
@@ -619,28 +681,36 @@ impl<'t> Machine<'t> {
                 (replays, now + self.cfg.shared_lat + u64::from(replays))
             }
             MemorySpace::Constant => {
-                let r = self.sms[sm_id].const_cache.access_warp(&lane_addrs);
+                let (transactions, misses) = self.sms[sm_id].const_cache.access_warp_into(
+                    &s.lanes,
+                    &mut s.granules,
+                    &mut s.missed,
+                );
                 self.events.const_requests += 1;
-                self.events.const_transactions += u64::from(r.transactions);
-                self.events.const_cache_misses += u64::from(r.misses);
-                self.events.replay_const_divergence += u64::from(r.transactions - 1);
-                self.events.replay_const_miss += u64::from(r.misses);
+                self.events.const_transactions += u64::from(transactions);
+                self.events.const_cache_misses += u64::from(misses);
+                self.events.replay_const_divergence += u64::from(transactions - 1);
+                self.events.replay_const_miss += u64::from(misses);
                 let mut completion = now + self.cfg.const_hit_lat;
-                for line in &r.missed_lines {
+                for &line in &s.missed {
                     completion =
-                        completion.max(self.offchip_fill(*line, L2Source::Constant, now, false));
+                        completion.max(self.offchip_fill(line, L2Source::Constant, now, false));
                 }
-                (r.replays, completion)
+                (transactions - 1 + misses, completion)
             }
             MemorySpace::Texture1D | MemorySpace::Texture2D => {
-                let r = self.sms[sm_id].tex_cache.access_warp(&lane_addrs);
+                let (transactions, misses) = self.sms[sm_id].tex_cache.access_warp_into(
+                    &s.lanes,
+                    &mut s.granules,
+                    &mut s.missed,
+                );
                 self.events.tex_requests += 1;
-                self.events.tex_transactions += u64::from(r.transactions);
-                self.events.tex_cache_misses += u64::from(r.misses);
+                self.events.tex_transactions += u64::from(transactions);
+                self.events.tex_cache_misses += u64::from(misses);
                 let mut completion = now + self.cfg.tex_hit_lat;
-                for line in &r.missed_lines {
+                for &line in &s.missed {
                     completion = completion.max(
-                        self.offchip_fill(*line, L2Source::Texture, now, false)
+                        self.offchip_fill(line, L2Source::Texture, now, false)
                             + self.cfg.tex_hit_lat
                             - self.cfg.l2_hit_lat.min(self.cfg.tex_hit_lat),
                     );
@@ -651,72 +721,64 @@ impl<'t> Machine<'t> {
                 (0, completion)
             }
             MemorySpace::Global => {
-                let co = coalesce(
-                    lane_addrs.iter().copied(),
-                    u64::from(m.elem_bytes),
+                let replays = coalesce_into(
+                    s.lanes.iter().copied(),
+                    u64::from(elem_bytes),
                     self.cfg.transaction_bytes,
+                    &mut s.granules,
                 );
-                if m.is_store {
+                if is_store {
                     self.events.global_st_requests += 1;
                 } else {
                     self.events.global_ld_requests += 1;
                 }
-                self.events.global_transactions += co.transactions.len() as u64;
-                self.events.replay_global_divergence += u64::from(co.replays);
+                self.events.global_transactions += s.granules.len() as u64;
+                self.events.replay_global_divergence += u64::from(replays);
                 let mut completion = now;
-                for t in &co.transactions {
+                for &t in &s.granules {
                     completion =
-                        completion.max(self.offchip_fill(*t, L2Source::Global, now, m.is_store));
+                        completion.max(self.offchip_fill(t, L2Source::Global, now, is_store));
                 }
-                (co.replays, completion)
+                (replays, completion)
             }
         }
     }
 
-    /// Execute one local-memory access: per-lane slots resolve to the
-    /// interleaved local address space, coalesce, and go through the
-    /// per-SM L1 (then L2/DRAM on a miss). Replays: address divergence
-    /// (cause (9)) and L1 misses (cause (7)).
+    /// Execute one local-memory access over the interleaved local
+    /// addresses in `s.lanes` (one per active lane's slot): coalesce,
+    /// and go through the per-SM L1 (then L2/DRAM on a miss). Replays:
+    /// address divergence (cause (9)) and L1 misses (cause (7)).
     fn perform_local(
         &mut self,
         sm_id: usize,
-        block: u32,
-        warp: u32,
         is_store: bool,
-        slots: &[u32],
+        s: &mut AccessScratch,
         now: u64,
     ) -> (u32, u64) {
-        use hms_trace::concrete::local_addr;
-        let g = &self.trace.geometry;
-        let total_threads = g.total_threads();
-        let addrs: Vec<u64> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(lane, &slot)| {
-                g.thread_id(block, warp, lane as u32)
-                    .map(|tid| local_addr(slot, tid, total_threads))
-            })
-            .collect();
         if is_store {
             self.events.local_st_requests += 1;
         } else {
             self.events.local_ld_requests += 1;
         }
-        if addrs.is_empty() {
+        if s.lanes.is_empty() {
             return (0, now);
         }
-        let co = coalesce(addrs.iter().copied(), 4, self.cfg.transaction_bytes);
-        let divergence = co.replays;
+        let divergence = coalesce_into(
+            s.lanes.iter().copied(),
+            4,
+            self.cfg.transaction_bytes,
+            &mut s.granules,
+        );
         self.events.replay_local_divergence += u64::from(divergence);
         let mut misses = 0u32;
         let mut completion = now + self.cfg.l1_hit_lat;
-        for t in &co.transactions {
-            if !self.sms[sm_id].l1.access_rw(*t, is_store).is_hit() {
+        for &t in &s.granules {
+            if !self.sms[sm_id].l1.access_rw(t, is_store).is_hit() {
                 misses += 1;
-                completion = completion.max(self.offchip_fill(*t, L2Source::Global, now, is_store));
+                completion = completion.max(self.offchip_fill(t, L2Source::Global, now, is_store));
             }
         }
-        self.events.l1_local_hits += co.transactions.len() as u64 - u64::from(misses);
+        self.events.l1_local_hits += s.granules.len() as u64 - u64::from(misses);
         self.events.l1_local_misses += u64::from(misses);
         self.events.replay_local_l1_miss += u64::from(misses);
         (divergence + misses, completion)

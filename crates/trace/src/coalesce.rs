@@ -27,22 +27,56 @@ pub fn coalesce(
     elem_bytes: u64,
     transaction_bytes: u64,
 ) -> CoalesceResult {
-    debug_assert!(transaction_bytes.is_power_of_two());
-    let mut txs: Vec<u64> = Vec::with_capacity(32);
-    for a in lane_addrs {
-        let first = a / transaction_bytes;
-        let last = (a + elem_bytes - 1) / transaction_bytes;
-        for t in first..=last {
-            txs.push(t);
-        }
-    }
-    txs.sort_unstable();
-    txs.dedup();
-    let replays = txs.len().saturating_sub(1) as u32;
+    let mut transactions = Vec::with_capacity(32);
+    let replays = coalesce_into(lane_addrs, elem_bytes, transaction_bytes, &mut transactions);
     CoalesceResult {
-        transactions: txs.into_iter().map(|t| t * transaction_bytes).collect(),
+        transactions,
         replays,
     }
+}
+
+/// Allocation-free [`coalesce`]: the ascending transaction base
+/// addresses land in the caller's `out` buffer (cleared first) and the
+/// address-divergence replays are returned. The analysis walk and the
+/// simulator coalesce every global and local access through this with a
+/// buffer they own.
+pub fn coalesce_into(
+    lane_addrs: impl IntoIterator<Item = u64>,
+    elem_bytes: u64,
+    transaction_bytes: u64,
+    out: &mut Vec<u64>,
+) -> u32 {
+    debug_assert!(transaction_bytes.is_power_of_two());
+    // A shift instead of a division for a power-of-two transaction size.
+    let shift = transaction_bytes.trailing_zeros();
+    let segment = |a: u64| {
+        if transaction_bytes.is_power_of_two() {
+            a >> shift
+        } else {
+            a / transaction_bytes
+        }
+    };
+    out.clear();
+    for a in lane_addrs {
+        // Lanes usually ascend, so skipping a repeat of the last
+        // segment keeps the sort below to the distinct segments.
+        let (mut t, last) = (segment(a), segment(a + elem_bytes - 1));
+        loop {
+            if out.last() != Some(&t) {
+                out.push(t);
+            }
+            if t == last {
+                break;
+            }
+            t += 1;
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    for t in out.iter_mut() {
+        *t *= transaction_bytes;
+    }
+    out.len().saturating_sub(1) as u32
 }
 
 #[cfg(test)]

@@ -19,11 +19,14 @@
 //!
 //! Arena lifetimes: a `ColumnarTrace` borrows the source trace (for its
 //! metadata — arrays, geometry, placement, allocator) and owns its
-//! column buffers. Extra op sequences (the shared-memory staging
-//! prologue/epilogue the analysis synthesizes per warp) are appended
-//! into the *same* arenas via [`ColumnarTrace::push_ops`], which
-//! returns an [`OpRange`] handle; ranges stay valid for the life of the
-//! value because the arenas only grow.
+//! column buffers. Extra op sequences are appended into the *same*
+//! arenas — arbitrary `CInstr`s via [`ColumnarTrace::push_ops`], and
+//! the shared-memory staging prologue/epilogue the analysis synthesizes
+//! per warp via [`ColumnarTrace::push_staging`], which writes the copy
+//! ops straight into the columns. Both return an [`OpRange`] handle,
+//! valid until [`ColumnarTrace::rewind`] drops the ops appended after a
+//! [`ColumnarTrace::mark`] (the walk rewinds once per wave, so the
+//! arenas hold one wave of staging copies and keep their capacity).
 
 use hms_types::{ArrayId, MemorySpace};
 
@@ -54,8 +57,19 @@ impl OpRange {
     }
 }
 
+/// Column lengths captured by [`ColumnarTrace::mark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArenaMark {
+    ops: usize,
+    mem: usize,
+    addr_calc: usize,
+    local: usize,
+    mem_addrs: usize,
+    local_slots: usize,
+}
+
 /// One warp's identity plus its body ops in the columnar buffers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColWarp {
     pub block: u32,
     pub warp: u32,
@@ -64,7 +78,7 @@ pub struct ColWarp {
 
 /// Side-table record for one memory access (fixed-size; the variable
 /// parts live in the shared address/lane arenas).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct MemRec {
     array: ArrayId,
     space: MemorySpace,
@@ -78,7 +92,7 @@ struct MemRec {
 }
 
 /// Side-table record for one local-memory access.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LocalRec {
     is_store: bool,
     slot_start: u32,
@@ -120,7 +134,9 @@ pub enum OpView<'c> {
 
 /// Struct-of-arrays decomposition of a [`ConcreteTrace`] body (plus any
 /// appended staging sequences). See the module docs for the layout.
-#[derive(Debug)]
+/// Equality compares every column, so two values holding the same ops
+/// encoded in the same order are equal.
+#[derive(Debug, PartialEq)]
 pub struct ColumnarTrace<'t> {
     src: &'t ConcreteTrace,
     /// Per-op kind code (`K_*`).
@@ -143,16 +159,26 @@ pub struct ColumnarTrace<'t> {
 impl<'t> ColumnarTrace<'t> {
     /// Decompose `trace` into columnar form. One pass, `O(ops)`.
     pub fn from_concrete(trace: &'t ConcreteTrace) -> Self {
-        let n_ops: usize = trace.warps.iter().map(|w| w.instrs.len()).sum();
+        // Size every column up front (lane arenas by lane width, an upper
+        // bound on active lanes), so the decomposition never regrows and
+        // copies a column.
+        let (mut n_ops, mut n_mem, mut n_lanes) = (0, 0, 0);
+        for i in trace.warps.iter().flat_map(|w| &w.instrs) {
+            n_ops += 1;
+            if let CInstr::Mem(m) = i {
+                n_mem += 1;
+                n_lanes += m.addrs.len();
+            }
+        }
         let mut col = ColumnarTrace {
             src: trace,
             kind: Vec::with_capacity(n_ops),
             arg0: Vec::with_capacity(n_ops),
-            mem: Vec::new(),
+            mem: Vec::with_capacity(n_mem),
             addr_calc: Vec::new(),
             local: Vec::new(),
-            mem_addrs: Vec::new(),
-            mem_lanes: Vec::new(),
+            mem_addrs: Vec::with_capacity(n_lanes),
+            mem_lanes: Vec::with_capacity(n_lanes),
             local_slots: Vec::new(),
             warps: Vec::with_capacity(trace.warps.len()),
         };
@@ -198,6 +224,156 @@ impl<'t> ColumnarTrace<'t> {
             start,
             len: instrs.len() as u32,
         }
+    }
+
+    /// Length of every column right now; [`Self::rewind`] truncates back
+    /// to it.
+    pub fn mark(&self) -> ArenaMark {
+        ArenaMark {
+            ops: self.kind.len(),
+            mem: self.mem.len(),
+            addr_calc: self.addr_calc.len(),
+            local: self.local.len(),
+            mem_addrs: self.mem_addrs.len(),
+            local_slots: self.local_slots.len(),
+        }
+    }
+
+    /// Drop every op appended since `mark` was taken, keeping the
+    /// arenas' capacity. Ranges returned after the mark become invalid.
+    pub fn rewind(&mut self, mark: ArenaMark) {
+        self.kind.truncate(mark.ops);
+        self.arg0.truncate(mark.ops);
+        self.mem.truncate(mark.mem);
+        self.addr_calc.truncate(mark.addr_calc);
+        self.local.truncate(mark.local);
+        self.mem_addrs.truncate(mark.mem_addrs);
+        self.mem_lanes.truncate(mark.mem_addrs);
+        self.local_slots.truncate(mark.local_slots);
+    }
+
+    /// Append the shared-memory staging copies of warp `(block, warp)`:
+    /// the initialization prologue followed by the write-back epilogue
+    /// (paper Section III-B). The ops are written straight into the
+    /// columns, with no per-op allocation, and are exactly the ops
+    /// `push_ops` encodes from `hms_sim::copy`'s `shared_init_prologue`
+    /// followed by `shared_writeback_epilogue` (the simulator's source
+    /// of these copies; a property test pins the two to identical
+    /// columns):
+    ///
+    /// * the prologue stages every shared-placed, non-scratch array from
+    ///   global memory, then a barrier;
+    /// * the epilogue is a barrier, then every such array the kernel
+    ///   writes goes back to global memory;
+    /// * each copy splits the array into `warp_size`-element chunks taken
+    ///   round-robin by the block's warps, a chunk being one wide load, a
+    ///   wait and one wide store; a warp with no chunk gets no barrier.
+    pub fn push_staging(&mut self, block: u32, warp: u32, warp_size: u32) -> OpRange {
+        let src = self.src;
+        let start = self.kind.len() as u32;
+        let staged = |id: ArrayId, space: MemorySpace| {
+            space == MemorySpace::Shared && !src.arrays[id.index()].scratch
+        };
+        let mut prologue = false;
+        for (id, space) in src.placement.iter() {
+            if staged(id, space) {
+                prologue |= self.push_copy_chunks(id, block, warp, warp_size, true);
+            }
+        }
+        if prologue {
+            self.push_plain(K_SYNC);
+        }
+        // The epilogue's barrier goes first, and is taken back if this
+        // warp has no chunk to write back.
+        self.push_plain(K_SYNC);
+        let mut epilogue = false;
+        for (id, space) in src.placement.iter() {
+            if staged(id, space) && src.arrays[id.index()].written {
+                epilogue |= self.push_copy_chunks(id, block, warp, warp_size, false);
+            }
+        }
+        if !epilogue {
+            self.kind.pop();
+            self.arg0.pop();
+        }
+        OpRange {
+            start,
+            len: self.kind.len() as u32 - start,
+        }
+    }
+
+    /// One direction of one array's copy for one warp (see
+    /// [`Self::push_staging`]); returns whether any chunk was emitted.
+    fn push_copy_chunks(
+        &mut self,
+        array: ArrayId,
+        block: u32,
+        warp: u32,
+        warp_size: u32,
+        to_shared: bool,
+    ) -> bool {
+        let src = self.src;
+        let def = &src.arrays[array.index()];
+        let esize = def.dtype.size_bytes();
+        let elements = def.dims.elements();
+        let lanes = u64::from(warp_size);
+        let warps_per_block = u64::from(src.geometry.warps_per_block());
+        let chunks = elements.div_ceil(lanes);
+        let global = (src.alloc.offchip_base(array), MemorySpace::Global);
+        let shared = (
+            src.alloc.base(array, block, &src.placement),
+            MemorySpace::Shared,
+        );
+        let (from, to) = if to_shared {
+            (global, shared)
+        } else {
+            (shared, global)
+        };
+        let mut chunk = u64::from(warp);
+        let emitted = chunk < chunks;
+        while chunk < chunks {
+            let first = chunk * lanes;
+            let active = (elements - first).min(lanes);
+            let run = |base: u64| (base + first * esize, esize, active as u32);
+            self.push_lane_run(array, from.1, false, run(from.0), warp_size);
+            self.push_plain(K_WAIT);
+            self.push_lane_run(array, to.1, true, run(to.0), warp_size);
+            chunk += warps_per_block;
+        }
+        emitted
+    }
+
+    /// Append a memory op whose lanes `0..active` touch `addr0 + lane *
+    /// stride` and whose remaining lanes up to `width` are inactive.
+    fn push_lane_run(
+        &mut self,
+        array: ArrayId,
+        space: MemorySpace,
+        is_store: bool,
+        (addr0, stride, active): (u64, u64, u32),
+        width: u32,
+    ) {
+        let addr_start = self.mem_addrs.len() as u32;
+        self.mem_addrs
+            .extend((0..u64::from(active)).map(|l| addr0 + l * stride));
+        self.mem_lanes.extend(0..active);
+        self.kind.push(K_MEM);
+        self.arg0.push(self.mem.len() as u32);
+        self.mem.push(MemRec {
+            array,
+            space,
+            is_store,
+            elem_bytes: stride as u8,
+            width,
+            addr_start,
+            addr_len: active,
+        });
+    }
+
+    /// Append an argument-less op (`K_WAIT` / `K_SYNC`).
+    fn push_plain(&mut self, kind: u8) {
+        self.kind.push(kind);
+        self.arg0.push(0);
     }
 
     fn push_instr(&mut self, i: &CInstr) {
@@ -249,14 +425,8 @@ impl<'t> ColumnarTrace<'t> {
                     slot_len: slots.len() as u32,
                 });
             }
-            CInstr::WaitLoads => {
-                self.kind.push(K_WAIT);
-                self.arg0.push(0);
-            }
-            CInstr::SyncThreads => {
-                self.kind.push(K_SYNC);
-                self.arg0.push(0);
-            }
+            CInstr::WaitLoads => self.push_plain(K_WAIT),
+            CInstr::SyncThreads => self.push_plain(K_SYNC),
         }
     }
 

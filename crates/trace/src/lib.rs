@@ -34,8 +34,8 @@ pub mod serialize;
 
 pub use addressing::addr_calc_instrs;
 pub use alloc::AddressAllocator;
-pub use coalesce::{coalesce, CoalesceResult};
-pub use columnar::{ColWarp, ColumnarTrace, OpRange, OpView};
+pub use coalesce::{coalesce, coalesce_into, CoalesceResult};
+pub use columnar::{ArenaMark, ColWarp, ColumnarTrace, OpRange, OpView};
 pub use concrete::{element_offset, materialize, CInstr, CMemRef, ConcreteTrace, ConcreteWarp};
 pub use op::{ElemIdx, KernelTrace, MemRef, SymOp, WarpTrace};
 pub use rewrite::{recover_elem_indices, rewrite};

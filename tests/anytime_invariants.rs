@@ -235,15 +235,19 @@ fn partial_deadline_cut_searches_are_never_cached() {
     assert_eq!(hits(&mut c), 1.0, "completed search must be cached");
     relaxed.shutdown();
 
-    // Partial server: 5 ms is far below what wide8's enumerated space
-    // needs under any strategy, so every search below is cut short —
-    // and none of those truncated bodies may enter the cache.
+    // Partial server: a generous deadline whose whole budget is drained
+    // by a clock skew of the same length, so every search below starts
+    // with no budget left and is cut short however fast the engine is —
+    // while the wall-clock 504 check, which ignores skew, never fires.
+    // None of those truncated bodies may enter the cache.
+    let deadline = Duration::from_secs(30);
     let tight = ServerConfig::new()
         .bind("127.0.0.1:0")
         .workers(1)
-        .deadline(Duration::from_millis(5))
+        .deadline(deadline)
         .spawn(ConfigRegistry::new("default", advisor()))
         .expect("binds");
+    tight.set_clock_skew(deadline);
     let mut c = Client::connect(tight.addr());
     for body in [
         r#"{"kernel":"wide8","scale":"test","top":1}"#,

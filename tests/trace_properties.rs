@@ -6,8 +6,10 @@
 //! Failing cases print an `HMS_PROPTEST_SEED=<seed>` replay line; see
 //! the harness docs for the replay workflow.
 
+use gpu_hms::cache::shared_conflict_passes;
 use gpu_hms::prelude::*;
-use gpu_hms::trace::{coalesce, ColumnarTrace, ElemIdx, MemRef, SymOp, WarpTrace};
+use gpu_hms::sim::copy::{shared_init_prologue, shared_writeback_epilogue};
+use gpu_hms::trace::{coalesce, coalesce_into, ColumnarTrace, ElemIdx, MemRef, SymOp, WarpTrace};
 use hms_stats::proptest_lite::{check, check_shrink, gen_where, shrink_vec, Config};
 use hms_stats::rng::Rng;
 use hms_types::{ArrayDef, ArrayId};
@@ -210,6 +212,223 @@ fn coalescing_invariants() {
                 {
                     return Err(format!("addr {a} not covered"));
                 }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The per-bank bank-conflict count the stack-sorted
+/// `shared_conflict_passes` replaced, kept here as its independent
+/// oracle: per bank, collect the distinct words; the passes are the
+/// largest such set (at least one for any active lane).
+fn shared_conflict_passes_reference(lane_addrs: &[u64], banks: u32) -> u32 {
+    if lane_addrs.is_empty() {
+        return 0;
+    }
+    let banks = u64::from(banks.max(1));
+    let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
+    for &a in lane_addrs {
+        let word = a / 4;
+        let bank = (word % banks) as usize;
+        if !per_bank[bank].contains(&word) {
+            per_bank[bank].push(word);
+        }
+    }
+    per_bank
+        .iter()
+        .map(|w| w.len() as u32)
+        .max()
+        .unwrap_or(0)
+        .max(1)
+}
+
+/// `shared_conflict_passes` equals the per-bank reference on random lane
+/// sets, broadcasts, all-same-bank strides, empty and wider-than-stack
+/// (more than 64 lanes) accesses, for 1, 16 and 32 banks.
+#[test]
+fn shared_conflict_passes_match_per_bank_reference() {
+    check_shrink(
+        "shared_conflict_passes_match_per_bank_reference",
+        &Config::with_cases(256),
+        |rng| {
+            let banks = [0u32, 1, 16, 32][rng.gen_range(0usize..4)];
+            let lanes = match rng.gen_range(0u32..4) {
+                0 => 0,
+                1 => rng.gen_range(65usize..200),
+                _ => rng.gen_range(1usize..=64),
+            };
+            let addrs: Vec<u64> = match rng.gen_range(0u32..4) {
+                // Broadcast: every lane reads one word.
+                0 => vec![rng.gen_range(0u64..4096); lanes],
+                // All lanes on one bank, distinct or repeated words.
+                1 => {
+                    let bank = rng.gen_range(0u64..32);
+                    (0..lanes)
+                        .map(|_| (rng.gen_range(0u64..8) * 32 + bank) * 4)
+                        .collect()
+                }
+                // Narrow range: many shared words and banks.
+                2 => (0..lanes).map(|_| rng.gen_range(0u64..512)).collect(),
+                _ => (0..lanes).map(|_| rng.gen_range(0u64..1 << 20)).collect(),
+            };
+            (addrs, banks)
+        },
+        |(addrs, banks)| shrink_vec(addrs).into_iter().map(|a| (a, *banks)).collect(),
+        |(addrs, banks)| {
+            let got = shared_conflict_passes(addrs, *banks);
+            let want = shared_conflict_passes_reference(addrs, *banks);
+            if got != want {
+                return Err(format!("{got} passes, reference {want}"));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `coalesce_into` reproduces `coalesce` exactly — transactions and
+/// replays — for 1/4/8/16-byte elements, straddling, duplicate and
+/// empty lane sets, into a buffer left dirty by an earlier call.
+#[test]
+fn coalesce_into_matches_coalesce() {
+    check_shrink(
+        "coalesce_into_matches_coalesce",
+        &Config::with_cases(256),
+        |rng| {
+            let elem = [1u64, 4, 8, 16][rng.gen_range(0usize..4)];
+            let tx = [32u64, 128][rng.gen_range(0usize..2)];
+            let n = rng.gen_range(0usize..40);
+            let addrs: Vec<u64> = match rng.gen_range(0u32..3) {
+                // Near transaction boundaries: elements straddle them.
+                0 => (0..n)
+                    .map(|_| {
+                        (rng.gen_range(1u64..64) * tx).saturating_sub(rng.gen_range(0u64..elem + 1))
+                    })
+                    .collect(),
+                // Narrow range: duplicates.
+                1 => (0..n).map(|_| rng.gen_range(0u64..64)).collect(),
+                _ => (0..n).map(|_| rng.gen_range(0u64..100_000)).collect(),
+            };
+            (addrs, elem, tx)
+        },
+        |(addrs, elem, tx)| {
+            shrink_vec(addrs)
+                .into_iter()
+                .map(|a| (a, *elem, *tx))
+                .collect()
+        },
+        |(addrs, elem, tx)| {
+            let want = coalesce(addrs.iter().copied(), *elem, *tx);
+            let mut out = vec![7, 3, 1 << 40];
+            let replays = coalesce_into(addrs.iter().copied(), *elem, *tx, &mut out);
+            if out != want.transactions || replays != want.replays {
+                return Err(format!(
+                    "coalesce_into gave {out:?} / {replays}, coalesce {:?} / {}",
+                    want.transactions, want.replays
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A random kernel whose arrays vary in size, element type, shape and
+/// written/scratch flags, with several warps per block, and a legal
+/// placement putting a random subset of them in shared memory — the
+/// inputs of the staging copies.
+fn arb_staging_case(rng: &mut Rng, cfg: &GpuConfig) -> (KernelTrace, PlacementMap) {
+    let dtypes = [DType::F32, DType::F64, DType::I32, DType::I64];
+    let n_arrays = rng.gen_range(1u32..5);
+    let arrays: Vec<ArrayDef> = (0..n_arrays)
+        .map(|i| {
+            let dtype = dtypes[rng.gen_range(0usize..dtypes.len())];
+            let written = rng.gen_bool(0.5);
+            let def = if rng.gen_bool(0.3) {
+                let w = rng.gen_range(1u64..40);
+                let h = rng.gen_range(1u64..12);
+                ArrayDef::new_2d(i, "m", dtype, w, h, written)
+            } else {
+                ArrayDef::new_1d(i, "v", dtype, rng.gen_range(1u64..400), written)
+            };
+            if rng.gen_bool(0.2) {
+                def.scratch()
+            } else {
+                def
+            }
+        })
+        .collect();
+    let blocks = rng.gen_range(1u32..4);
+    let warps_per_block = rng.gen_range(1u32..5);
+    let kt = KernelTrace {
+        name: "staging".into(),
+        arrays,
+        geometry: Geometry::new(blocks, warps_per_block * 32),
+        warps: (0..blocks)
+            .flat_map(|b| {
+                (0..warps_per_block).map(move |w| WarpTrace {
+                    block: b,
+                    warp: w,
+                    ops: vec![SymOp::IntAlu(1)],
+                })
+            })
+            .collect(),
+    };
+    let pm = gen_where(
+        rng,
+        256,
+        |rng| {
+            PlacementMap::from_spaces(
+                (0..n_arrays)
+                    .map(|_| {
+                        if rng.gen_bool(0.6) {
+                            MemorySpace::Shared
+                        } else {
+                            MemorySpace::Global
+                        }
+                    })
+                    .collect(),
+            )
+        },
+        |p| p.validate(&kt.arrays, cfg).is_ok(),
+    );
+    (kt, pm)
+}
+
+/// Staging copies generated straight into the columnar arenas
+/// (`push_staging`) encode the very columns `push_ops` builds from the
+/// simulator's `shared_init_prologue` + `shared_writeback_epilogue`, for
+/// every warp; and `rewind` to a mark taken before them restores the
+/// body-only columns.
+#[test]
+fn in_arena_staging_matches_simulator_copies() {
+    let cfg = cfg();
+    check(
+        "in_arena_staging_matches_simulator_copies",
+        &Config::with_cases(128),
+        |rng| arb_staging_case(rng, &cfg),
+        |(kt, pm)| {
+            let ct = materialize(kt, pm, &cfg).map_err(|e| e.to_string())?;
+            let mut in_arena = ColumnarTrace::from_concrete(&ct);
+            let mut via_instrs = ColumnarTrace::from_concrete(&ct);
+            let mark = in_arena.mark();
+            for w in &ct.warps {
+                let got = in_arena.push_staging(w.block, w.warp, cfg.warp_size);
+                let mut copies = shared_init_prologue(&ct, w.block, w.warp, &cfg);
+                copies.extend(shared_writeback_epilogue(&ct, w.block, w.warp, &cfg));
+                let want = via_instrs.push_ops(&copies);
+                if got != want {
+                    return Err(format!(
+                        "warp ({}, {}): range {got:?}, simulator copies {want:?}",
+                        w.block, w.warp
+                    ));
+                }
+            }
+            if in_arena != via_instrs {
+                return Err("in-arena staging columns differ from push_ops".into());
+            }
+            in_arena.rewind(mark);
+            if in_arena != ColumnarTrace::from_concrete(&ct) {
+                return Err("rewind left appended ops behind".into());
             }
             Ok(())
         },
