@@ -348,7 +348,7 @@ impl EngineCounters {
             batched_replays: g(&self.batched_replays),
             lane_width: g(&self.lane_width),
             events_streamed: g(&self.events_streamed),
-            // Per-search, filled in by `search()` on its outcome
+            // Per-search, filled in by `SearchRequest::run` on its outcome
             // snapshot — there is no atomic mirror for them.
             gap_upper_bound: 0.0,
             strategy: "",

@@ -9,11 +9,12 @@
 //! delta composition instead of a full trace rewrite.
 //!
 //! The entry point is [`SearchRequest`]: name the search space, pick a
-//! [`SearchStrategy`], and [`search`] returns a [`SearchOutcome`] with
-//! the ranking plus the engine's observability counters.
+//! [`SearchStrategy`], and [`SearchRequest::run`] returns a
+//! [`SearchOutcome`] with the ranking plus the engine's observability
+//! counters.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,6 +23,7 @@ use hms_types::{ArrayDef, ArrayId, GpuConfig, HmsError, MemorySpace, PlacementMa
 use crate::engine::{Engine, EngineStats};
 use crate::predictor::Predictor;
 use crate::profile::Profile;
+use crate::strategies::{all_free_floor, space_floor, template, Sweep};
 
 /// Enumerate every *legal* placement of `candidates` (other arrays stay
 /// as in `base`), bounded by `limit` to keep pathological spaces in
@@ -78,7 +80,7 @@ pub struct RankedPlacement {
     pub predicted_cycles: f64,
 }
 
-/// How [`search`] covers the placement space.
+/// How [`SearchRequest::run`] covers the placement space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SearchStrategy {
     /// Enumerate every legal placement (up to the limit) and rank all of
@@ -203,7 +205,6 @@ pub struct SearchRequest<'a> {
     pub(crate) skeleton_cache: Option<PathBuf>,
     pub(crate) cache_fs: Option<Arc<dyn crate::skelcache::CacheFs>>,
     pub(crate) cancel: Option<Arc<AtomicBool>>,
-    pub(crate) lane_width: u64,
 }
 
 impl<'a> SearchRequest<'a> {
@@ -222,7 +223,6 @@ impl<'a> SearchRequest<'a> {
             skeleton_cache: None,
             cache_fs: None,
             cancel: None,
-            lane_width: 0,
         }
     }
 
@@ -263,16 +263,6 @@ impl<'a> SearchRequest<'a> {
     /// Pick the coverage strategy.
     pub fn strategy(mut self, strategy: SearchStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Fix the engine's replay lane width (candidates evaluated per
-    /// event-stream pass; see [`Engine::set_lane_width`]). `0` (the
-    /// default) autosizes per skeleton group. Any width produces
-    /// bit-identical rankings — the knob trades skeleton-decode
-    /// amortization against per-lane cache-model footprint.
-    pub fn lane_width(mut self, width: u64) -> Self {
-        self.lane_width = width;
         self
     }
 
@@ -321,22 +311,6 @@ impl<'a> SearchRequest<'a> {
         self
     }
 
-    /// Has the deadline passed or the cancel flag been raised? Checked
-    /// only between evaluation batches, so every prediction inside a
-    /// batch is computed exactly as in an uninterrupted run.
-    pub(crate) fn interrupted(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Whether this request can be interrupted at all — if not, the
-    /// single-batch evaluation path (the byte-identity baseline) runs.
-    pub(crate) fn interruptible(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-
     /// Reject structurally nonsense searches before any model work:
     /// a zero candidate cap, a candidate id past the kernel's arrays, or
     /// the same array listed twice (the branch-and-bound assignment
@@ -367,9 +341,36 @@ impl<'a> SearchRequest<'a> {
         Ok(())
     }
 
-    /// Run the search. Equivalent to `search(predictor, profile, &self)`.
+    /// Run the search through the incremental [`Engine`].
     pub fn run(&self, predictor: &Predictor, profile: &Profile) -> Result<SearchOutcome, HmsError> {
-        search(predictor, profile, self)
+        self.validate()?;
+        profile.validate(&predictor.cfg)?;
+        let mut engine = Engine::new(predictor, profile);
+        if let Some(dir) = &self.skeleton_cache {
+            engine = match &self.cache_fs {
+                Some(fs) => engine.with_disk_cache_fs(dir, Arc::clone(fs)),
+                None => engine.with_disk_cache(dir),
+            };
+        }
+        let mut sweep = Sweep::new(&engine, self);
+        match self.strategy {
+            SearchStrategy::Exhaustive => exhaustive(&mut sweep)?,
+            SearchStrategy::BranchAndBound => branch_and_bound(&mut sweep)?,
+            SearchStrategy::Beam { width } => crate::strategies::beam::run(&mut sweep, width)?,
+            SearchStrategy::SuccessiveHalving => crate::strategies::halving::run(&mut sweep)?,
+            SearchStrategy::LocalSearch { seed } => {
+                crate::strategies::local::run(&mut sweep, seed)?
+            }
+        }
+        let (ranked, partial, gap) = sweep.finish();
+        let mut stats = engine.stats();
+        stats.strategy = self.strategy.name();
+        stats.gap_upper_bound = gap;
+        Ok(SearchOutcome {
+            ranked,
+            stats,
+            partial,
+        })
     }
 }
 
@@ -379,10 +380,11 @@ impl<'a> SearchRequest<'a> {
 pub struct SearchOutcome {
     pub ranked: Vec<RankedPlacement>,
     pub stats: EngineStats,
-    /// `true` when the search hit its [`SearchRequest::deadline`] before
-    /// covering the whole space: `ranked` is the best-so-far prefix of
-    /// the evaluation schedule, every entry still a real (bit-identical)
-    /// prediction. Always `false` without a deadline.
+    /// `true` when the search hit its [`SearchRequest::deadline`] or
+    /// [`SearchRequest::cancel_flag`] before covering the whole space:
+    /// `ranked` is the best-so-far prefix of the evaluation schedule,
+    /// every entry still a real (bit-identical) prediction. Always
+    /// `false` without a deadline or cancel flag.
     pub partial: bool,
 }
 
@@ -393,191 +395,79 @@ impl SearchOutcome {
     }
 }
 
-/// Execute a [`SearchRequest`] through the incremental [`Engine`].
-pub fn search(
-    predictor: &Predictor,
-    profile: &Profile,
-    req: &SearchRequest<'_>,
-) -> Result<SearchOutcome, HmsError> {
-    req.validate()?;
-    profile.validate(&predictor.cfg)?;
-    let mut engine = Engine::new(predictor, profile);
-    if let Some(dir) = &req.skeleton_cache {
-        engine = match &req.cache_fs {
-            Some(fs) => engine.with_disk_cache_fs(dir, Arc::clone(fs)),
-            None => engine.with_disk_cache(dir),
-        };
+/// Rank every legal placement up to the request limit. A cut run is no
+/// longer exact: the cheapest unevaluated candidate's bound covers what
+/// it skipped.
+fn exhaustive(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
+    let (engine, req) = (sweep.engine, sweep.req);
+    let t0 = Instant::now();
+    let space = enumerate_placements(
+        req.arrays,
+        req.base,
+        &req.candidates,
+        &engine.predictor().cfg,
+        req.limit,
+    );
+    let c = &engine.counters;
+    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
+    c.add(&c.candidates_enumerated, space.len() as u64);
+    let done = sweep.evaluate(&space)?.len();
+    if sweep.partial() {
+        let truncated = space.len() >= req.limit;
+        sweep.lower_floor(space_floor(engine, req, space[done..].iter(), truncated));
     }
-    engine.set_lane_width(req.lane_width);
-    let (ranked, partial, gap) = match req.strategy {
-        SearchStrategy::Exhaustive => {
-            let t0 = Instant::now();
-            let space = enumerate_placements(
-                req.arrays,
-                req.base,
-                &req.candidates,
-                &predictor.cfg,
-                req.limit,
-            );
-            engine.counters.add(
-                &engine.counters.enumerate_nanos,
-                t0.elapsed().as_nanos() as u64,
-            );
-            engine
-                .counters
-                .add(&engine.counters.candidates_enumerated, space.len() as u64);
-            if !req.interruptible() {
-                // No deadline and no cancel flag: the single-batch
-                // path, untouched — this is the byte/bit-identity
-                // baseline.
-                (engine.rank(&space, req.threads)?, false, 0.0)
-            } else {
-                {
-                    // Evaluate in the same deterministic BB_BATCH chunks
-                    // the branch-and-bound path uses, checking the clock
-                    // (and the cancel flag) only between chunks so each
-                    // prediction inside a chunk is computed exactly as
-                    // in the uninterrupted run.
-                    let mut ranked = Vec::with_capacity(space.len());
-                    let mut partial = false;
-                    let mut cut_at = space.len();
-                    for (i, chunk) in space.chunks(BB_BATCH).enumerate() {
-                        if req.interrupted() && !ranked.is_empty() {
-                            partial = true;
-                            cut_at = i * BB_BATCH;
-                            break;
-                        }
-                        ranked.extend(engine.evaluate_batch(chunk, req.threads)?);
-                    }
-                    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-                    // A deadline-cut exhaustive run is no longer exact:
-                    // bound the gap by the cheapest unevaluated
-                    // candidate's lower bound.
-                    let gap = if partial {
-                        let mut floor = crate::strategies::space_floor(
-                            &engine,
-                            req,
-                            space[cut_at..].iter(),
-                            space.len() >= req.limit,
-                        );
-                        if let Some(best) = ranked.first() {
-                            floor = floor.min(best.predicted_cycles);
-                        }
-                        crate::strategies::gap_from_floor(
-                            ranked.first().map(|r| r.predicted_cycles),
-                            floor,
-                        )
-                    } else {
-                        0.0
-                    };
-                    (ranked, partial, gap)
-                }
-            }
-        }
-        SearchStrategy::BranchAndBound => {
-            let (ranked, partial) = branch_and_bound(&engine, req)?;
-            // Complete branch-and-bound is exact (gap 0); a deadline cut
-            // leaves unexplored subtrees whose bounds were never
-            // visited, so fall back to the all-free floor.
-            let gap = if partial {
-                let floor = crate::strategies::all_free_floor(&engine, req)
-                    .min(ranked.first().map_or(f64::INFINITY, |r| r.predicted_cycles));
-                crate::strategies::gap_from_floor(ranked.first().map(|r| r.predicted_cycles), floor)
-            } else {
-                0.0
-            };
-            (ranked, partial, gap)
-        }
-        SearchStrategy::Beam { width } => crate::strategies::beam::run(&engine, req, width)?,
-        SearchStrategy::SuccessiveHalving => crate::strategies::halving::run(&engine, req)?,
-        SearchStrategy::LocalSearch { seed } => crate::strategies::local::run(&engine, req, seed)?,
-    };
-    let mut stats = engine.stats();
-    stats.strategy = req.strategy.name();
-    stats.gap_upper_bound = gap;
-    Ok(SearchOutcome {
-        ranked,
-        stats,
-        partial,
-    })
+    Ok(())
 }
 
-/// Leaves per evaluation batch. Constant (never derived from the worker
-/// count or core count) so the bound-update schedule — and therefore the
-/// exact set of placements evaluated — is machine- and thread-count
-/// independent.
-pub(crate) const BB_BATCH: usize = 64;
+/// Leaves per branch-and-bound flush: the incumbent upper bound — and
+/// so the pruning — tightens once per flush. Constant (never derived
+/// from the worker or core count), so the exact set of placements
+/// evaluated is machine- and thread-count independent.
+const BB_FLUSH: usize = 64;
 
 /// Depth-first branch-and-bound over the candidate arrays, in candidate
 /// order, spaces in [`MemorySpace::ALL`] order. Leaves are collected
-/// into fixed-size batches and evaluated in parallel; the incumbent
-/// upper bound tightens between batches. A subtree is cut only when its
+/// into fixed-size flushes and evaluated in parallel; the incumbent
+/// upper bound tightens between flushes. A subtree is cut only when its
 /// monotone lower bound *strictly exceeds* the incumbent, so the true
-/// optimum always survives to evaluation.
-fn branch_and_bound(
-    engine: &Engine<'_>,
-    req: &SearchRequest<'_>,
-) -> Result<(Vec<RankedPlacement>, bool), HmsError> {
+/// optimum always survives to evaluation. Complete, the search is exact
+/// (gap 0); a deadline cut stops the walk, and the driver evaluates no
+/// flush after the cut, so leaves still pending then are counted as
+/// enumerated but never evaluated. Unexplored subtrees and dropped
+/// leaves were never bounded, so the all-free floor covers them.
+fn branch_and_bound(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
+    let (engine, req) = (sweep.engine, sweep.req);
     let t0 = Instant::now();
-    let n = req.arrays.len();
     // Remaining-subtree sizes for the pruned-candidate estimate: the
     // product of standalone-legal space counts below each depth.
     let mut subtree: Vec<u64> = vec![1; req.candidates.len() + 1];
     for (d, &id) in req.candidates.iter().enumerate().rev() {
         subtree[d] = subtree[d + 1].saturating_mul(engine.legal_spaces(id).len().max(1) as u64);
     }
-    let mut assignment: Vec<Option<MemorySpace>> = (0..n)
-        .map(|i| {
-            let id = ArrayId(i as u32);
-            if req.candidates.contains(&id) {
-                None
-            } else {
-                Some(req.base.space(id))
-            }
-        })
-        .collect();
+    let mut assignment = template(req);
 
-    struct Dfs<'s, 'e, 'p> {
-        engine: &'s Engine<'e>,
-        req: &'s SearchRequest<'p>,
-        subtree: &'s [u64],
+    struct Dfs<'w, 's, 'e> {
+        sweep: &'w mut Sweep<'s, 'e>,
+        subtree: &'w [u64],
         ub: f64,
         batch: Vec<PlacementMap>,
-        evaluated: Vec<RankedPlacement>,
         leaves: usize,
         error: Option<HmsError>,
-        partial: bool,
     }
 
     impl Dfs<'_, '_, '_> {
-        /// Deadline and cancel flag are checked only between leaves, and
-        /// never before the first leaf has been collected: a partial
-        /// outcome always carries at least one real best-so-far
-        /// prediction.
-        fn out_of_time(&mut self) -> bool {
-            if self.partial {
-                return true;
-            }
-            if self.leaves > 0 && self.req.interrupted() {
-                self.partial = true;
-                return true;
-            }
-            false
-        }
-
         fn flush(&mut self) {
             if self.batch.is_empty() || self.error.is_some() {
                 return;
             }
             let batch = std::mem::take(&mut self.batch);
-            match self.engine.evaluate_batch(&batch, self.req.threads) {
+            match self.sweep.evaluate(&batch) {
                 Ok(ranked) => {
-                    for r in &ranked {
+                    for r in ranked {
                         if r.predicted_cycles < self.ub {
                             self.ub = r.predicted_cycles;
                         }
                     }
-                    self.evaluated.extend(ranked);
                 }
                 Err(e) => self.error = Some(e),
             }
@@ -589,33 +479,37 @@ fn branch_and_bound(
             assignment: &mut [Option<MemorySpace>],
             pm: &PlacementMap,
         ) {
-            if self.error.is_some() || self.leaves >= self.req.limit || self.out_of_time() {
+            let (engine, req) = (self.sweep.engine, self.sweep.req);
+            // Flushes are sized by pruning, not time, so the walk also
+            // asks the driver for a cut between leaves — once it holds
+            // one, so a partial outcome still carries a prediction.
+            if self.error.is_some()
+                || self.leaves >= req.limit
+                || (self.leaves > 0 && self.sweep.interrupted())
+            {
                 return;
             }
-            if self.engine.lower_bound(assignment) > self.ub {
-                let c = &self.engine.counters;
+            if engine.lower_bound(assignment) > self.ub {
+                let c = &engine.counters;
                 c.add(&c.subtrees_pruned, 1);
                 c.add(&c.candidates_pruned, self.subtree[depth]);
                 return;
             }
-            let Some(&id) = self.req.candidates.get(depth) else {
+            let Some(&id) = req.candidates.get(depth) else {
                 // Leaf: joint legality can be stricter than the per-array
                 // legality that shaped the tree (e.g. shared capacity).
-                if pm
-                    .validate(self.req.arrays, &self.engine.predictor().cfg)
-                    .is_ok()
-                {
+                if pm.validate(req.arrays, &engine.predictor().cfg).is_ok() {
                     self.leaves += 1;
-                    let c = &self.engine.counters;
+                    let c = &engine.counters;
                     c.add(&c.candidates_enumerated, 1);
                     self.batch.push(pm.clone());
-                    if self.batch.len() >= BB_BATCH {
+                    if self.batch.len() >= BB_FLUSH {
                         self.flush();
                     }
                 }
                 return;
             };
-            for &space in self.engine.legal_spaces(id) {
+            for &space in engine.legal_spaces(id) {
                 assignment[id.index()] = Some(space);
                 let child = pm.with(id, space);
                 self.visit(depth + 1, assignment, &child);
@@ -625,15 +519,12 @@ fn branch_and_bound(
     }
 
     let mut dfs = Dfs {
-        engine,
-        req,
+        sweep,
         subtree: &subtree,
         ub: f64::INFINITY,
         batch: Vec::new(),
-        evaluated: Vec::new(),
         leaves: 0,
         error: None,
-        partial: false,
     };
     let root = req.base.clone();
     engine.counters.add(
@@ -645,21 +536,10 @@ fn branch_and_bound(
     if let Some(e) = dfs.error {
         return Err(e);
     }
-    let partial = dfs.partial;
-    let mut ranked = dfs.evaluated;
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-    Ok((ranked, partial))
-}
-
-/// Predict every candidate placement and rank ascending by predicted
-/// time (best first), through the incremental engine. Prefer
-/// [`SearchRequest`] when you also control enumeration.
-pub fn rank_placements(
-    predictor: &Predictor,
-    profile: &Profile,
-    candidates: &[PlacementMap],
-) -> Result<Vec<RankedPlacement>, HmsError> {
-    Engine::new(predictor, profile).rank(candidates, 0)
+    if sweep.partial() {
+        sweep.lower_floor(all_free_floor(engine, req));
+    }
+    Ok(())
 }
 
 /// The naive oracle: rank `candidates` with one full `rewrite` +
@@ -804,10 +684,9 @@ mod tests {
                 best.predicted_cycles.to_bits(),
                 truth.predicted_cycles.to_bits()
             );
-            assert_eq!(
+            assert!(
                 bb.stats.candidates_evaluated + bb.stats.candidates_pruned
-                    >= full.ranked.len() as u64,
-                true
+                    >= full.ranked.len() as u64
             );
         }
     }
@@ -836,52 +715,113 @@ mod tests {
 
     #[test]
     fn deadline_yields_partial_best_so_far() {
+        use std::collections::HashMap;
+        use std::time::Duration;
+
+        // A space wider than one 64-placement evaluation chunk, so an
+        // interruptible run evaluates in several chunks and a cut can
+        // land between them.
         let cfg = GpuConfig::test_small();
-        let kt = vecadd::build(Scale::Test);
+        let kt = hms_kernels::by_name("wide4", Scale::Test).unwrap();
         let base = kt.default_placement();
         let profile = profile_sample(&kt, &base, &cfg).unwrap();
         let predictor = Predictor::new(cfg);
-        let full = SearchRequest::new(&kt.arrays, &base)
+        let exact = SearchRequest::new(&kt.arrays, &base)
             .run(&predictor, &profile)
             .unwrap();
-        assert!(!full.partial);
-
-        // An already-expired deadline: branch-and-bound still evaluates
-        // at least one leaf, flags the outcome, and every entry it does
-        // return is bit-identical to the deadline-free prediction.
-        let bb = SearchRequest::new(&kt.arrays, &base)
-            .strategy(SearchStrategy::BranchAndBound)
-            .deadline(Some(Instant::now()))
-            .run(&predictor, &profile)
-            .unwrap();
-        assert!(bb.partial);
-        assert!(!bb.ranked.is_empty());
-        assert!(bb.ranked.len() < full.ranked.len());
-        for r in &bb.ranked {
-            let truth = full
-                .ranked
+        assert!(exact.ranked.len() > 64, "{} candidates", exact.ranked.len());
+        let truth: HashMap<&PlacementMap, u64> = exact
+            .ranked
+            .iter()
+            .map(|r| (&r.placement, r.predicted_cycles.to_bits()))
+            .collect();
+        let bits = |o: &SearchOutcome| -> Vec<(PlacementMap, u64)> {
+            o.ranked
                 .iter()
-                .find(|f| f.placement == r.placement)
-                .expect("partial entry is a real candidate");
-            assert_eq!(
-                r.predicted_cycles.to_bits(),
-                truth.predicted_cycles.to_bits()
-            );
-        }
+                .map(|r| (r.placement.clone(), r.predicted_cycles.to_bits()))
+                .collect()
+        };
+        // The members of the `/v1/search` stats block.
+        let wire = |s: &EngineStats| {
+            (
+                [
+                    s.candidates_enumerated,
+                    s.candidates_evaluated,
+                    s.candidates_pruned,
+                    s.skeletons_built,
+                    s.full_rewrites,
+                    s.delta_cache_hits,
+                    s.exact_fallbacks,
+                    s.candidates_visited,
+                ],
+                s.rewrite_reduction().to_bits(),
+                s.gap_upper_bound.to_bits(),
+            )
+        };
 
-        // A generous deadline covers the space: not partial, and the
-        // chunked evaluation path reproduces the single-batch ranking
-        // bit for bit.
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let timed = SearchRequest::new(&kt.arrays, &base)
-            .deadline(Some(far))
-            .run(&predictor, &profile)
-            .unwrap();
-        assert!(!timed.partial);
-        assert_eq!(timed.ranked.len(), full.ranked.len());
-        for (a, b) in timed.ranked.iter().zip(&full.ranked) {
-            assert_eq!(a.placement, b.placement);
-            assert_eq!(a.predicted_cycles.to_bits(), b.predicted_cycles.to_bits());
+        for strategy in [
+            SearchStrategy::Exhaustive,
+            SearchStrategy::BranchAndBound,
+            // Wider than one chunk, so the beam's leaves span several.
+            SearchStrategy::Beam { width: 256 },
+            SearchStrategy::SuccessiveHalving,
+            SearchStrategy::LocalSearch { seed: 7 },
+        ] {
+            for threads in [1, 2] {
+                let req = SearchRequest::new(&kt.arrays, &base)
+                    .strategy(strategy)
+                    .threads(threads);
+                let free = req.run(&predictor, &profile).unwrap();
+                assert!(!free.partial, "{strategy:?}");
+
+                // A deadline that never fires and a cancel flag that is
+                // never raised change nothing: same bits, same stats.
+                let far = req
+                    .clone()
+                    .deadline(Some(Instant::now() + Duration::from_secs(3600)));
+                let never = req.clone().cancel_flag(Arc::new(AtomicBool::new(false)));
+                for timed in [far, never] {
+                    let timed = timed.run(&predictor, &profile).unwrap();
+                    assert!(!timed.partial, "{strategy:?} x{threads}");
+                    assert_eq!(bits(&timed), bits(&free), "{strategy:?} x{threads}");
+                    assert_eq!(
+                        wire(&timed.stats),
+                        wire(&free.stats),
+                        "{strategy:?} x{threads}"
+                    );
+                }
+
+                // An already-expired deadline still evaluates at least
+                // one result, flags the outcome, and every entry it
+                // returns is the deadline-free prediction, bit for bit.
+                let cut = req
+                    .clone()
+                    .deadline(Some(Instant::now()))
+                    .run(&predictor, &profile)
+                    .unwrap();
+                assert!(cut.partial, "{strategy:?} x{threads}");
+                assert!(!cut.ranked.is_empty(), "{strategy:?} x{threads}");
+                // The cut stopped the evaluation early, not after the
+                // last chunk.
+                assert!(
+                    cut.ranked.len() < free.ranked.len(),
+                    "{strategy:?} x{threads}"
+                );
+                if strategy == SearchStrategy::BranchAndBound {
+                    // The walk stops at the second leaf, and the final
+                    // flush evaluates the single leaf collected before it.
+                    assert_eq!(cut.ranked.len(), 1, "x{threads}");
+                    assert_eq!(cut.stats.candidates_enumerated, 1, "x{threads}");
+                    assert_eq!(cut.stats.candidates_evaluated, 1, "x{threads}");
+                }
+                for r in &cut.ranked {
+                    assert_eq!(
+                        Some(&r.predicted_cycles.to_bits()),
+                        truth.get(&r.placement),
+                        "{strategy:?} x{threads}"
+                    );
+                }
+            }
         }
     }
 
@@ -911,7 +851,9 @@ mod tests {
         let profile = profile_sample(&kt, &base, &cfg).unwrap();
         let candidates = enumerate_placements(&kt.arrays, &base, &[ArrayId(0)], &cfg, 100);
         let predictor = Predictor::new(cfg);
-        let ranked = rank_placements(&predictor, &profile, &candidates).unwrap();
+        let ranked = Engine::new(&predictor, &profile)
+            .rank(&candidates, 0)
+            .unwrap();
         assert_eq!(ranked.len(), candidates.len());
         for w in ranked.windows(2) {
             assert!(w[0].predicted_cycles <= w[1].predicted_cycles);

@@ -4,8 +4,8 @@
 //! level choosing that array's standalone-legal space — is walked
 //! breadth-first, but only the `width` prefixes with the smallest
 //! monotone lower bound survive a level. Surviving complete
-//! assignments are joint-validated and evaluated exactly, in
-//! deterministic `BB_BATCH` chunks.
+//! assignments are joint-validated and evaluated exactly through the
+//! `Sweep` driver.
 //!
 //! Because every dropped prefix's bound is recorded, the reported gap
 //! is sound: the true optimum either survived to evaluation (then
@@ -18,10 +18,7 @@ use std::time::Instant;
 
 use hms_types::{MemorySpace, PlacementMap};
 
-use crate::engine::Engine;
-use crate::search::{RankedPlacement, SearchRequest, BB_BATCH};
-
-use super::{full_assignment, gap_from_floor};
+use super::{full_assignment, Sweep};
 
 struct Prefix {
     assignment: Vec<Option<MemorySpace>>,
@@ -29,12 +26,9 @@ struct Prefix {
     lb: f64,
 }
 
-pub(crate) fn run(
-    engine: &Engine<'_>,
-    req: &SearchRequest<'_>,
-    width: usize,
-) -> Result<(Vec<RankedPlacement>, bool, f64), hms_types::HmsError> {
+pub(crate) fn run(sweep: &mut Sweep<'_, '_>, width: usize) -> Result<(), hms_types::HmsError> {
     let t0 = Instant::now();
+    let (engine, req) = (sweep.engine, sweep.req);
     let n = req.arrays.len();
     let c = &engine.counters;
     let width = width.max(1);
@@ -45,9 +39,8 @@ pub(crate) fn run(
         lb: 0.0,
     };
     let mut beam: Vec<Prefix> = vec![root];
-    // Min lower bound over everything the search will never evaluate:
+    // The floor covers everything the search will never evaluate:
     // dropped prefixes, limit-truncated leaves, deadline-cut leaves.
-    let mut floor = f64::INFINITY;
     for &id in &req.candidates {
         let mut children: Vec<Prefix> = Vec::with_capacity(beam.len() * MemorySpace::ALL.len());
         for prefix in &beam {
@@ -67,7 +60,7 @@ pub(crate) fn run(
         // contents are independent of anything but the request.
         children.sort_by(|a, b| a.lb.total_cmp(&b.lb));
         for dropped in children.iter().skip(width) {
-            floor = floor.min(dropped.lb);
+            sweep.lower_floor(dropped.lb);
         }
         children.truncate(width);
         beam = children;
@@ -82,7 +75,7 @@ pub(crate) fn run(
         .filter(|p| p.pm.validate(req.arrays, cfg).is_ok())
         .collect();
     for truncated in leaves.iter().skip(req.limit) {
-        floor = floor.min(truncated.lb);
+        sweep.lower_floor(truncated.lb);
     }
     leaves.truncate(req.limit);
     if leaves.is_empty() && req.base.validate(req.arrays, cfg).is_ok() {
@@ -97,26 +90,10 @@ pub(crate) fn run(
     c.add(&c.candidates_enumerated, leaves.len() as u64);
     c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
 
-    let mut ranked: Vec<RankedPlacement> = Vec::with_capacity(leaves.len());
-    let mut partial = false;
-    let mut cut_at = leaves.len();
     let pms: Vec<PlacementMap> = leaves.iter().map(|p| p.pm.clone()).collect();
-    for (i, chunk) in pms.chunks(BB_BATCH).enumerate() {
-        if !ranked.is_empty() && req.interrupted() {
-            partial = true;
-            cut_at = i * BB_BATCH;
-            break;
-        }
-        ranked.extend(engine.evaluate_batch(chunk, req.threads)?);
+    let done = sweep.evaluate(&pms)?.len();
+    for unevaluated in &leaves[done..] {
+        sweep.lower_floor(unevaluated.lb);
     }
-    for unevaluated in &leaves[cut_at..] {
-        floor = floor.min(unevaluated.lb);
-    }
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-
-    let best = ranked.first().map(|r| r.predicted_cycles);
-    if let Some(b) = best {
-        floor = floor.min(b);
-    }
-    Ok((ranked, partial, gap_from_floor(best, floor)))
+    Ok(())
 }

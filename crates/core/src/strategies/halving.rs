@@ -22,10 +22,9 @@ use std::time::Instant;
 
 use hms_types::{ArrayId, MemorySpace, PlacementMap};
 
-use crate::engine::Engine;
-use crate::search::{enumerate_placements, RankedPlacement, SearchRequest, BB_BATCH};
+use crate::search::enumerate_placements;
 
-use super::{gap_from_floor, space_floor};
+use super::{space_floor, Sweep};
 
 struct Arm {
     /// Indices into the enumerated space, in enumeration order.
@@ -36,11 +35,9 @@ struct Arm {
     best: f64,
 }
 
-pub(crate) fn run(
-    engine: &Engine<'_>,
-    req: &SearchRequest<'_>,
-) -> Result<(Vec<RankedPlacement>, bool, f64), hms_types::HmsError> {
+pub(crate) fn run(sweep: &mut Sweep<'_, '_>) -> Result<(), hms_types::HmsError> {
     let t0 = Instant::now();
+    let (engine, req) = (sweep.engine, sweep.req);
     let n = req.arrays.len();
     let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
@@ -72,10 +69,8 @@ pub(crate) fn run(
     c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
 
     let mut evaluated = vec![false; space.len()];
-    let mut ranked: Vec<RankedPlacement> = Vec::with_capacity(space.len());
     let mut per_arm = 1usize;
-    let mut partial = false;
-    'rungs: loop {
+    loop {
         // This rung's work list: the next `per_arm` unevaluated members
         // of each surviving arm, arm-major so every arm gets service
         // even if the deadline lands mid-rung.
@@ -88,40 +83,30 @@ pub(crate) fn run(
             break; // survivors fully evaluated
         }
         let pms: Vec<PlacementMap> = rung.iter().map(|&i| space[i].clone()).collect();
-        let mut done = 0usize;
-        for chunk in pms.chunks(BB_BATCH) {
-            if !ranked.is_empty() && req.interrupted() {
-                partial = true;
-                break;
-            }
-            ranked.extend(engine.evaluate_batch(chunk, req.threads)?);
-            done += chunk.len();
-        }
+        let fresh = sweep.evaluate(&pms)?;
+        let done = fresh.len();
         // Credit results back to their arms (rung order is arm-major,
         // so a prefix of `rung` maps to per-arm cursor advances).
-        for (&idx, r) in rung[..done].iter().zip(&ranked[ranked.len() - done..]) {
+        for (&idx, r) in rung.iter().zip(fresh) {
             debug_assert_eq!(space[idx], r.placement);
             evaluated[idx] = true;
         }
         let mut offset = 0usize;
         for arm in &mut arms {
             let take = arm.members.len().min(arm.cursor + per_arm) - arm.cursor;
+            // A deadline cut can leave later arms unserved (`offset`
+            // past `done`): they are credited nothing.
             let served = take.min(done.saturating_sub(offset));
-            // A deadline cut can leave later arms unserved (offset past
-            // `done`); slicing is only legal for the served prefix.
-            if served > 0 {
-                let start = ranked.len() - done + offset;
-                for r in &ranked[start..start + served] {
-                    if r.predicted_cycles < arm.best {
-                        arm.best = r.predicted_cycles;
-                    }
+            for r in fresh.iter().skip(offset).take(served) {
+                if r.predicted_cycles < arm.best {
+                    arm.best = r.predicted_cycles;
                 }
             }
             arm.cursor += served;
             offset += take;
         }
-        if partial {
-            break 'rungs;
+        if sweep.partial() {
+            break; // cut by the deadline or cancel flag
         }
         if arms.len() > 1 {
             // Rank arms by best-so-far (stable: ties keep arm order)
@@ -132,16 +117,11 @@ pub(crate) fn run(
         per_arm = per_arm.saturating_mul(2);
     }
 
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
     let unevaluated = space
         .iter()
         .enumerate()
         .filter(|&(i, _)| !evaluated[i])
         .map(|(_, pm)| pm);
-    let mut floor = space_floor(engine, req, unevaluated, truncated);
-    let best = ranked.first().map(|r| r.predicted_cycles);
-    if let Some(b) = best {
-        floor = floor.min(b);
-    }
-    Ok((ranked, partial, gap_from_floor(best, floor)))
+    sweep.lower_floor(space_floor(engine, req, unevaluated, truncated));
+    Ok(())
 }

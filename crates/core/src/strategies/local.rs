@@ -25,22 +25,16 @@ use std::time::Instant;
 
 use hms_types::{MemorySpace, PlacementMap};
 
-use crate::engine::Engine;
-use crate::search::{RankedPlacement, SearchRequest, BB_BATCH};
-
-use super::{all_free_floor, gap_from_floor};
+use super::{all_free_floor, Sweep};
 
 const POP: usize = 24;
 const GENERATIONS: usize = 16;
 const ELITE: usize = 6;
 const IMMIGRANTS: usize = 4;
 
-pub(crate) fn run(
-    engine: &Engine<'_>,
-    req: &SearchRequest<'_>,
-    seed: u64,
-) -> Result<(Vec<RankedPlacement>, bool, f64), hms_types::HmsError> {
+pub(crate) fn run(sweep: &mut Sweep<'_, '_>, seed: u64) -> Result<(), hms_types::HmsError> {
     let t0 = Instant::now();
+    let (engine, req) = (sweep.engine, sweep.req);
     let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
     let mut rng = hms_stats::rng::Rng::seed_from_u64(seed);
@@ -96,9 +90,7 @@ pub(crate) fn run(
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
     // Evaluated pool across all generations, in evaluation order.
     let mut pool: Vec<(f64, Vec<usize>)> = Vec::new();
-    let mut ranked: Vec<RankedPlacement> = Vec::new();
-    let mut partial = false;
-    'generations: for _gen in 0..GENERATIONS {
+    for _gen in 0..GENERATIONS {
         c.add(&c.candidates_visited, population.len() as u64);
         let mut fresh: Vec<Vec<usize>> = Vec::new();
         for genome in population.drain(..) {
@@ -108,21 +100,12 @@ pub(crate) fn run(
         }
         let pms: Vec<PlacementMap> = fresh.iter().map(|g| decode(g)).collect();
         c.add(&c.candidates_enumerated, pms.len() as u64);
-        let mut done = 0usize;
-        for chunk in pms.chunks(BB_BATCH) {
-            if !ranked.is_empty() && req.interrupted() {
-                partial = true;
-                break;
-            }
-            let evaluated = engine.evaluate_batch(chunk, req.threads)?;
-            for (r, genome) in evaluated.iter().zip(&fresh[done..]) {
-                pool.push((r.predicted_cycles, genome.clone()));
-            }
-            done += chunk.len();
-            ranked.extend(evaluated);
+        let evaluated = sweep.evaluate(&pms)?;
+        for (r, genome) in evaluated.iter().zip(&fresh) {
+            pool.push((r.predicted_cycles, genome.clone()));
         }
-        if partial {
-            break 'generations;
+        if sweep.partial() {
+            break; // cut by the deadline or cancel flag
         }
 
         // Selection: stable sort keeps evaluation order on ties, so the
@@ -155,11 +138,6 @@ pub(crate) fn run(
         }
     }
 
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-    let best = ranked.first().map(|r| r.predicted_cycles);
-    let mut floor = all_free_floor(engine, req);
-    if let Some(b) = best {
-        floor = floor.min(b);
-    }
-    Ok((ranked, partial, gap_from_floor(best, floor)))
+    sweep.lower_floor(all_free_floor(engine, req));
+    Ok(())
 }

@@ -34,34 +34,138 @@
 //!   about the space it never visited).
 //!
 //! The exact strategies report gap 0 when they complete; when a
-//! deadline cuts them short, `search()` falls back to the same floor
+//! deadline cuts them short, they fall back to the same floor
 //! construction so a partial result still carries a sound bound.
 //!
 //! # Determinism contract
 //!
-//! All three strategies follow the branch-and-bound discipline: leaves
-//! are evaluated in fixed-size [`BB_BATCH`](crate::search::BB_BATCH)
-//! chunks, the deadline is checked **only between chunks**, and at
-//! least one chunk is always evaluated — so every returned prediction
-//! is bit-identical to what a deadline-free run would have produced,
-//! at any worker count. [`local`] goes further: the RNG stream is a
-//! pure function of the seed and consumes draws in an order independent
-//! of scheduling, so the entire outcome is bit-identical across
-//! `--threads 1/2/8`.
+//! Every strategy — exhaustive and branch-and-bound included —
+//! evaluates through one driver, `Sweep`, and the driver alone owns
+//! the schedule. A request with no deadline and no cancel flag hands
+//! each list to the engine in one batch. An interruptible request
+//! evaluates each list in fixed `BB_BATCH` chunks and polls the
+//! deadline and cancel flag **only between chunks, never before the
+//! search's first result**. (Branch-and-bound, whose flushes are sized
+//! by pruning rather than time, also asks `Sweep::interrupted` between
+//! leaves.) Results are sorted stably and the gap is reported from the
+//! floor the strategy lowered. So every returned prediction is
+//! bit-identical to what a deadline-free run would have produced, at
+//! any worker count; a deadline changes how far the search got, never
+//! the bits of what it returns. [`local`] goes further: the
+//! RNG stream is a pure function of the seed and consumes draws in an
+//! order independent of scheduling, so the entire outcome is
+//! bit-identical across `--threads 1/2/8`.
 
 pub mod beam;
 pub mod halving;
 pub mod local;
 
-use hms_types::{ArrayId, MemorySpace, PlacementMap};
+use std::sync::atomic::Ordering;
+use std::time::Instant;
+
+use hms_types::{ArrayId, HmsError, MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::SearchRequest;
+use crate::search::{RankedPlacement, SearchRequest};
+
+/// Placements per evaluation chunk of an interruptible search. Constant
+/// (never derived from the worker or core count), so the points where
+/// a deadline can cut a search — and therefore the exact set of
+/// placements a cut search evaluated — are machine- and thread-count
+/// independent.
+const BB_BATCH: usize = 64;
+
+/// The one evaluation driver of a search: it owns the evaluation
+/// schedule, the deadline and cancel checks, the accumulated results,
+/// and the floor behind the reported gap. A strategy only decides what
+/// to evaluate next and which floor covers what it skipped.
+pub(crate) struct Sweep<'s, 'e> {
+    pub(crate) engine: &'s Engine<'e>,
+    pub(crate) req: &'s SearchRequest<'s>,
+    ranked: Vec<RankedPlacement>,
+    partial: bool,
+    floor: f64,
+}
+
+impl<'s, 'e> Sweep<'s, 'e> {
+    pub(crate) fn new(engine: &'s Engine<'e>, req: &'s SearchRequest<'s>) -> Self {
+        Sweep {
+            engine,
+            req,
+            ranked: Vec::new(),
+            partial: false,
+            floor: f64::INFINITY,
+        }
+    }
+
+    /// Evaluate `list` in order and return the newly evaluated prefix.
+    /// An uninterruptible request evaluates the whole list in one engine
+    /// batch; an interruptible one evaluates `BB_BATCH` chunks, checking
+    /// for a cut between chunks once the search holds a result. A cut
+    /// returns a short prefix, and later calls evaluate nothing more.
+    pub(crate) fn evaluate(
+        &mut self,
+        list: &[PlacementMap],
+    ) -> Result<&[RankedPlacement], HmsError> {
+        let start = self.ranked.len();
+        let interruptible = self.req.deadline.is_some() || self.req.cancel.is_some();
+        let chunk_len = if interruptible {
+            BB_BATCH
+        } else {
+            list.len().max(1)
+        };
+        for chunk in list.chunks(chunk_len) {
+            if !self.ranked.is_empty() && self.interrupted() {
+                break;
+            }
+            let batch = self.engine.evaluate_batch(chunk, self.req.threads)?;
+            self.ranked.extend(batch);
+        }
+        Ok(&self.ranked[start..])
+    }
+
+    /// Has the deadline passed or the cancel flag been raised? A `true`
+    /// answer is latched: the outcome is partial from then on. Callers
+    /// ask only once they hold a result or a pending one, so a partial
+    /// outcome always carries a real best-so-far prediction.
+    pub(crate) fn interrupted(&mut self) -> bool {
+        self.partial = self.partial
+            || self
+                .req
+                .cancel
+                .as_ref()
+                .is_some_and(|c| c.load(Ordering::Relaxed))
+            || self.req.deadline.is_some_and(|d| Instant::now() >= d);
+        self.partial
+    }
+
+    /// Whether a deadline or cancel flag cut the search short.
+    pub(crate) fn partial(&self) -> bool {
+        self.partial
+    }
+
+    /// Cover candidates the search will never evaluate with `floor`, a
+    /// sound lower bound on their predicted cycles.
+    pub(crate) fn lower_floor(&mut self, floor: f64) {
+        self.floor = self.floor.min(floor);
+    }
+
+    /// The ranking (ascending predicted cycles, stable on ties), the
+    /// partial flag, and the gap of the best result over the floor. With
+    /// nothing skipped the floor is the best result itself: gap 0.
+    pub(crate) fn finish(self) -> (Vec<RankedPlacement>, bool, f64) {
+        let mut ranked = self.ranked;
+        ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
+        let best = ranked.first().map(|r| r.predicted_cycles);
+        let floor = self.floor.min(best.unwrap_or(f64::INFINITY));
+        (ranked, self.partial, gap_from_floor(best, floor))
+    }
+}
 
 /// The gap implied by a best-found cost and a sound floor on the
 /// optimum. `None` (no legal candidate evaluated) reports 0 — there is
 /// nothing to bound.
-pub(crate) fn gap_from_floor(best: Option<f64>, floor: f64) -> f64 {
+fn gap_from_floor(best: Option<f64>, floor: f64) -> f64 {
     match best {
         Some(b) if floor > 0.0 && floor.is_finite() => (b / floor - 1.0).max(0.0),
         _ => 0.0,
@@ -246,6 +350,38 @@ mod tests {
                 out.stats.gap_upper_bound
             );
         }
+    }
+
+    #[test]
+    fn a_cut_sweep_evaluates_no_later_list() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        use crate::engine::Engine;
+        use crate::search::enumerate_placements;
+
+        // Branch-and-bound's last flush relies on this: once a cut is
+        // seen, leaves still pending are dropped, not evaluated.
+        let (predictor, profile, arrays) = setup();
+        let base = profile.trace.placement.clone();
+        let flag = Arc::new(AtomicBool::new(false));
+        let req = SearchRequest::new(&arrays, &base)
+            .read_only_candidates()
+            .cancel_flag(Arc::clone(&flag));
+        let space =
+            enumerate_placements(&arrays, &base, &req.candidates, &predictor.cfg, req.limit);
+        let (first, second) = space.split_at(space.len() / 2);
+        assert!(!first.is_empty() && !second.is_empty());
+        let engine = Engine::new(&predictor, &profile);
+        let mut sweep = super::Sweep::new(&engine, &req);
+        assert_eq!(sweep.evaluate(first).unwrap().len(), first.len());
+        assert!(!sweep.partial());
+        flag.store(true, Ordering::Relaxed);
+        assert!(sweep.evaluate(second).unwrap().is_empty());
+        assert!(sweep.partial());
+        let (ranked, partial, _) = sweep.finish();
+        assert!(partial);
+        assert_eq!(ranked.len(), first.len());
     }
 
     #[test]

@@ -81,7 +81,8 @@ mod tests {
     #[test]
     fn raise_sigterm_sets_flag() {
         install();
-        assert!(!shutdown_requested() || true); // other tests may share the static
+        // No "flag starts clear" precondition: the flag is a process-wide
+        // static that other tests in this binary may already have set.
         unsafe {
             raise(15);
         }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The repository's CI gate: hermetic (offline) build + full test suite +
-# formatting. Must pass from a clean checkout with no network and no
+# formatting + lints. Must pass from a clean checkout with no network and no
 # cargo registry cache — the default dependency graph is workspace
 # crates only (see DESIGN.md §8, "Hermetic build & determinism").
 #
@@ -16,6 +16,11 @@ cargo test -q --offline
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Lints that are errors by default (e.g. an assertion that can never
+# fail) fail this step; style warnings are reported but stay warnings.
+echo "==> cargo clippy --workspace --all-targets"
+cargo clippy -q --offline --workspace --all-targets
 
 # Arithmetic that only misbehaves when it wraps must fail loudly: rerun
 # the numeric crates' tests with overflow checks forced on (release

@@ -67,9 +67,9 @@ pub use hms_types as types;
 /// The commonly-used names, one `use` away.
 pub mod prelude {
     pub use hms_core::{
-        enumerate_placements, profile_sample, rank_placements, search, Engine, EngineStats,
-        ModelOptions, Prediction, Predictor, Profile, QueuingMode, SearchOutcome, SearchRequest,
-        SearchStrategy, ToverlapModel,
+        enumerate_placements, profile_sample, Engine, EngineStats, ModelOptions, Prediction,
+        Predictor, Profile, QueuingMode, SearchOutcome, SearchRequest, SearchStrategy,
+        ToverlapModel,
     };
     pub use hms_faults::{FaultClient, FaultKind, FaultPlan};
     pub use hms_kernels::{by_name, registry, Scale};
