@@ -220,6 +220,8 @@ impl SetAssocCache {
         // a dead way with a stale matching tag is skipped, exactly as
         // the combined scan would.
         let mut cand = 0u32;
+        #[allow(clippy::needless_range_loop)]
+        // `w` is also the mask bit; keep the vectorizable form
         for w in 0..W {
             cand |= u32::from(tags[w] == tag) << w;
         }

@@ -426,6 +426,7 @@ pub(crate) fn analyze_observed(
             cursors.clear();
         }
         for k in 0..shape.blocks_per_sm {
+            #[allow(clippy::needless_range_loop)] // `sm` also places the block; hot walk loop
             for sm in 0..num_sms {
                 let b = wave * shape.wave_span + k * num_sms + sm;
                 if b >= shape.blocks {
@@ -767,6 +768,7 @@ pub fn analyze_reference_with(
         // Collect this wave's warp cursors per SM.
         let mut per_sm: Vec<Vec<Cursor>> = (0..num_sms).map(|_| Vec::new()).collect();
         for k in 0..shape.blocks_per_sm {
+            #[allow(clippy::needless_range_loop)] // `sm` also places the block; hot walk loop
             for sm in 0..num_sms {
                 let b = wave * shape.wave_span + k * num_sms + sm;
                 if b >= shape.blocks {

@@ -173,9 +173,13 @@ impl EngineStats {
         }
     }
 
-    /// Fold another stats snapshot into this one, field by field — the
-    /// hook long-lived callers (the advisory server's `/metrics`, sweep
-    /// harnesses) use to keep cumulative engine totals across searches.
+    /// Fold another stats snapshot into this one: counters and stage
+    /// timings add, the `lane_width` and `gap_upper_bound` gauges keep
+    /// their peak, and the accumulator's own `strategy` label stays.
+    /// The one fold for cumulative engine totals: the advisory server's
+    /// `/metrics` (which adds two anytime-only rules on top, see
+    /// `hms_serve::metrics::Metrics::on_engine_stats`), sweep harnesses,
+    /// and branch-and-bound's per-flush tally.
     pub fn accumulate(&mut self, other: &EngineStats) {
         self.skeletons_built += other.skeletons_built;
         self.full_rewrites += other.full_rewrites;
@@ -295,72 +299,6 @@ impl std::fmt::Display for EngineStats {
             self.enumerate_nanos as f64 / 1e6,
             self.evaluate_nanos as f64 / 1e6,
         )
-    }
-}
-
-/// Thread-safe mirror of [`EngineStats`], bumped from worker threads.
-#[derive(Debug, Default)]
-pub(crate) struct EngineCounters {
-    pub skeletons_built: AtomicU64,
-    pub full_rewrites: AtomicU64,
-    pub delta_cache_hits: AtomicU64,
-    pub exact_fallbacks: AtomicU64,
-    pub memo_tables_built: AtomicU64,
-    pub skeleton_disk_hits: AtomicU64,
-    pub skeleton_disk_misses: AtomicU64,
-    pub skeleton_disk_writes: AtomicU64,
-    pub skeleton_disk_tmp_swept: AtomicU64,
-    pub candidates_enumerated: AtomicU64,
-    pub candidates_evaluated: AtomicU64,
-    pub candidates_pruned: AtomicU64,
-    pub subtrees_pruned: AtomicU64,
-    pub prepare_nanos: AtomicU64,
-    pub enumerate_nanos: AtomicU64,
-    pub evaluate_nanos: AtomicU64,
-    pub candidates_visited: AtomicU64,
-    pub batched_replays: AtomicU64,
-    /// Peak lane width (gauge; updated with `fetch_max`).
-    pub lane_width: AtomicU64,
-    pub events_streamed: AtomicU64,
-}
-
-impl EngineCounters {
-    fn snapshot(&self) -> EngineStats {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        EngineStats {
-            skeletons_built: g(&self.skeletons_built),
-            full_rewrites: g(&self.full_rewrites),
-            delta_cache_hits: g(&self.delta_cache_hits),
-            exact_fallbacks: g(&self.exact_fallbacks),
-            memo_tables_built: g(&self.memo_tables_built),
-            skeleton_disk_hits: g(&self.skeleton_disk_hits),
-            skeleton_disk_misses: g(&self.skeleton_disk_misses),
-            skeleton_disk_writes: g(&self.skeleton_disk_writes),
-            skeleton_disk_tmp_swept: g(&self.skeleton_disk_tmp_swept),
-            candidates_enumerated: g(&self.candidates_enumerated),
-            candidates_evaluated: g(&self.candidates_evaluated),
-            candidates_pruned: g(&self.candidates_pruned),
-            subtrees_pruned: g(&self.subtrees_pruned),
-            prepare_nanos: g(&self.prepare_nanos),
-            enumerate_nanos: g(&self.enumerate_nanos),
-            evaluate_nanos: g(&self.evaluate_nanos),
-            candidates_visited: g(&self.candidates_visited),
-            batched_replays: g(&self.batched_replays),
-            lane_width: g(&self.lane_width),
-            events_streamed: g(&self.events_streamed),
-            // Per-search, filled in by `SearchRequest::run` on its outcome
-            // snapshot — there is no atomic mirror for them.
-            gap_upper_bound: 0.0,
-            strategy: "",
-        }
-    }
-
-    pub(crate) fn add(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn max(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_max(n, Ordering::Relaxed);
     }
 }
 
@@ -773,7 +711,9 @@ pub struct Engine<'a> {
     st: Arc<EngineStatics>,
     skeletons: Mutex<HashMap<Vec<bool>, Arc<Skeleton>>>,
     memos: Mutex<HashMap<MemoKey, Arc<MemoRow>>>,
-    pub(crate) counters: EngineCounters,
+    /// Observability counters. A leaf lock: no other lock is ever
+    /// taken while it is held (see [`bump`](Self::bump)).
+    counters: Mutex<EngineStats>,
     /// Fault-injection hook: when set, every skeleton built afterwards
     /// is poisoned, forcing the exact-fallback path. Exercised by the
     /// chaos suite to prove degradation is invisible in the output.
@@ -784,10 +724,11 @@ pub struct Engine<'a> {
     disk: Option<crate::skelcache::DiskCache>,
 }
 
-/// Lock one of the engine's caches, recovering from a poisoned mutex:
-/// a panicking worker can only have left a cache mid-insert of an
-/// `Arc` value, which the `HashMap` either holds or doesn't — both
-/// states are valid, so the data is safe to keep using.
+/// Lock one of the engine's caches or its counters, recovering from a
+/// poisoned mutex: a panicking worker can only have left a cache
+/// mid-insert of an `Arc` value, which the `HashMap` either holds or
+/// doesn't, or the counters between two plain additions — every such
+/// state is valid, so the data is safe to keep using.
 fn lock_cache<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -1017,7 +958,7 @@ impl<'a> Engine<'a> {
             st,
             skeletons: Mutex::new(HashMap::new()),
             memos: Mutex::new(HashMap::new()),
-            counters: EngineCounters::default(),
+            counters: Mutex::new(EngineStats::default()),
             inject_poison: AtomicBool::new(false),
             lane_width: AtomicU64::new(0),
             disk: None,
@@ -1047,8 +988,7 @@ impl<'a> Engine<'a> {
         // The kernel fingerprint was computed (and cached) with the
         // statics — attaching a disk cache costs no trace serialization.
         let cache = crate::skelcache::DiskCache::with_fs(dir, self.st.kernel_fingerprint, fs);
-        self.counters
-            .add(&self.counters.skeleton_disk_tmp_swept, cache.swept());
+        self.bump(|s| s.skeleton_disk_tmp_swept += cache.swept());
         self.disk = Some(cache);
         self
     }
@@ -1099,9 +1039,18 @@ impl<'a> Engine<'a> {
         self.profile
     }
 
-    /// Snapshot of the engine's observability counters.
+    /// Snapshot of the engine's observability counters. The per-search
+    /// `strategy` and `gap_upper_bound` stay at their defaults; they are
+    /// filled in by `SearchRequest::run` on its outcome's copy.
     pub fn stats(&self) -> EngineStats {
-        self.counters.snapshot()
+        *lock_cache(&self.counters)
+    }
+
+    /// Apply `f` to the counters under their lock. The closure must only
+    /// do arithmetic on the counters: the stats lock is a leaf, so no
+    /// other lock may be taken while it is held.
+    pub(crate) fn bump(&self, f: impl FnOnce(&mut EngineStats)) {
+        f(&mut lock_cache(&self.counters));
     }
 
     fn shared_key(&self, pm: &PlacementMap) -> Vec<bool> {
@@ -1124,14 +1073,16 @@ impl<'a> Engine<'a> {
         }
         let built = Arc::new(self.build_memo(array, space, bases));
         // Count only winning inserts: losing a build race must not make
-        // the observability counters depend on the worker count.
-        match lock_cache(&self.memos).entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.counters.add(&self.counters.memo_tables_built, 1);
-                v.insert(built).clone()
-            }
+        // the observability counters depend on the worker count. The
+        // memo lock is released before the count is bumped.
+        let (row, won) = match lock_cache(&self.memos).entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
+            std::collections::hash_map::Entry::Vacant(v) => (v.insert(built).clone(), true),
+        };
+        if won {
+            self.bump(|s| s.memo_tables_built += 1);
         }
+        row
     }
 
     /// Build the memo row for `(array, space)` under concrete allocator
@@ -1148,8 +1099,9 @@ impl<'a> Engine<'a> {
     fn build_memo(&self, array: ArrayId, space: MemorySpace, bases: (u64, u64)) -> MemoRow {
         let cfg = &self.predictor.cfg;
         let b0 = bases.0;
-        let aligned =
-            b0 % cfg.transaction_bytes == 0 && b0 % cfg.tex_cache.line_bytes == 0 && b0 % 4 == 0;
+        let aligned = b0.is_multiple_of(cfg.transaction_bytes)
+            && b0.is_multiple_of(cfg.tex_cache.line_bytes)
+            && b0.is_multiple_of(4);
         if !aligned {
             return self.build_memo_at(array, space, bases);
         }
@@ -1273,14 +1225,14 @@ impl<'a> Engine<'a> {
         };
         if let Some(skel) = disk.load(key) {
             if self.skeleton_is_plausible(&skel) {
-                self.counters.add(&self.counters.skeleton_disk_hits, 1);
+                self.bump(|s| s.skeleton_disk_hits += 1);
                 return Arc::new(skel);
             }
         }
-        self.counters.add(&self.counters.skeleton_disk_misses, 1);
+        self.bump(|s| s.skeleton_disk_misses += 1);
         let built = Arc::new(self.build_skeleton(canonical));
         if !built.poisoned && disk.store(key, &built) {
-            self.counters.add(&self.counters.skeleton_disk_writes, 1);
+            self.bump(|s| s.skeleton_disk_writes += 1);
         }
         built
     }
@@ -1373,15 +1325,16 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.counters
-            .add(&self.counters.prepare_nanos, t0.elapsed().as_nanos() as u64);
+        self.bump(|s| s.prepare_nanos += t0.elapsed().as_nanos() as u64);
         skels
     }
 
     fn build_skeleton(&self, canonical: &PlacementMap) -> Skeleton {
         let cfg = &self.predictor.cfg;
-        self.counters.add(&self.counters.skeletons_built, 1);
-        self.counters.add(&self.counters.full_rewrites, 1);
+        self.bump(|s| {
+            s.skeletons_built += 1;
+            s.full_rewrites += 1;
+        });
         let n = self.st.dtypes.len();
         let poisoned_skeleton = || Skeleton {
             consts: TraceAnalysis::default(),
@@ -1482,10 +1435,11 @@ impl<'a> Engine<'a> {
         let n_arrays = self.st.dtypes.len();
         let width = targets.len();
         debug_assert!(width <= MAX_LANE_WIDTH);
-        self.counters.add(&self.counters.batched_replays, 1);
-        self.counters
-            .add(&self.counters.events_streamed, skel.events.len() as u64);
-        self.counters.max(&self.counters.lane_width, width as u64);
+        self.bump(|s| {
+            s.batched_replays += 1;
+            s.events_streamed += skel.events.len() as u64;
+            s.lane_width = s.lane_width.max(width as u64);
+        });
         REPLAY_SCRATCH.with(|cell| {
             let mut slot = cell.borrow_mut();
             let scratch = match slot.as_mut() {
@@ -1678,12 +1632,14 @@ impl<'a> Engine<'a> {
         target.validate(&self.profile.trace.arrays, &self.predictor.cfg)?;
         let skel = self.skeleton_for(target);
         if skel.poisoned {
-            self.counters.add(&self.counters.exact_fallbacks, 1);
-            self.counters.add(&self.counters.full_rewrites, 1);
+            self.bump(|s| {
+                s.exact_fallbacks += 1;
+                s.full_rewrites += 1;
+            });
             return self.predictor.predict(self.profile, target);
         }
         let analysis = self.replay(&skel, target);
-        self.counters.add(&self.counters.delta_cache_hits, 1);
+        self.bump(|s| s.delta_cache_hits += 1);
         let pred = self.predictor.predict_prepared(
             self.profile,
             analysis,
@@ -1720,8 +1676,12 @@ impl<'a> Engine<'a> {
     /// feed lane batches to `threads` workers — each batch streams its
     /// skeleton's event column once for all its lanes. Workers steal
     /// whole units across skeleton groups; results reassemble by input
-    /// index, so the output (and every non-wall-clock counter) is
-    /// bit-identical for any worker count and any lane width.
+    /// index, so the output is bit-identical for any worker count and
+    /// any lane width. So are the counters of work done per candidate or
+    /// per skeleton (rewrites, skeletons, delta hits, fallbacks, memo
+    /// tables, evaluations). `batched_replays`, `events_streamed` and
+    /// `lane_width` follow the lane width, which autosizing derives from
+    /// the worker count.
     pub(crate) fn evaluate_batch(
         &self,
         candidates: &[PlacementMap],
@@ -1767,12 +1727,10 @@ impl<'a> Engine<'a> {
                 predicted_cycles: cycles,
             });
         }
-        self.counters
-            .add(&self.counters.candidates_evaluated, candidates.len() as u64);
-        self.counters.add(
-            &self.counters.evaluate_nanos,
-            t0.elapsed().as_nanos() as u64,
-        );
+        self.bump(|s| {
+            s.candidates_evaluated += candidates.len() as u64;
+            s.evaluate_nanos += t0.elapsed().as_nanos() as u64;
+        });
         Ok(ranked)
     }
 
@@ -1794,8 +1752,10 @@ impl<'a> Engine<'a> {
                 let r = pm
                     .validate(&self.profile.trace.arrays, &self.predictor.cfg)
                     .and_then(|()| {
-                        self.counters.add(&self.counters.exact_fallbacks, 1);
-                        self.counters.add(&self.counters.full_rewrites, 1);
+                        self.bump(|s| {
+                            s.exact_fallbacks += 1;
+                            s.full_rewrites += 1;
+                        });
                         self.predictor.predict(self.profile, pm).map(|p| p.cycles)
                     });
                 out.push((ci, r));
@@ -1817,8 +1777,7 @@ impl<'a> Engine<'a> {
         if lanes.is_empty() {
             return out;
         }
-        self.counters
-            .add(&self.counters.delta_cache_hits, lanes.len() as u64);
+        self.bump(|s| s.delta_cache_hits += lanes.len() as u64);
         self.replay_batch_with(skel, &lanes, |li, analysis| {
             let (cycles, t_comp, t_mem, t_overlap) = self.predictor.predict_parts(
                 self.profile,

@@ -408,9 +408,10 @@ fn exhaustive(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
         &engine.predictor().cfg,
         req.limit,
     );
-    let c = &engine.counters;
-    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
-    c.add(&c.candidates_enumerated, space.len() as u64);
+    engine.bump(|s| {
+        s.enumerate_nanos += t0.elapsed().as_nanos() as u64;
+        s.candidates_enumerated += space.len() as u64;
+    });
     let done = sweep.evaluate(&space)?.len();
     if sweep.partial() {
         let truncated = space.len() >= req.limit;
@@ -452,11 +453,15 @@ fn branch_and_bound(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
         ub: f64,
         batch: Vec<PlacementMap>,
         leaves: usize,
+        /// Per-leaf and per-subtree counts since the last flush.
+        tally: EngineStats,
         error: Option<HmsError>,
     }
 
     impl Dfs<'_, '_, '_> {
         fn flush(&mut self) {
+            let tally = std::mem::take(&mut self.tally);
+            self.sweep.engine.bump(|s| s.accumulate(&tally));
             if self.batch.is_empty() || self.error.is_some() {
                 return;
             }
@@ -490,9 +495,8 @@ fn branch_and_bound(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
                 return;
             }
             if engine.lower_bound(assignment) > self.ub {
-                let c = &engine.counters;
-                c.add(&c.subtrees_pruned, 1);
-                c.add(&c.candidates_pruned, self.subtree[depth]);
+                self.tally.subtrees_pruned += 1;
+                self.tally.candidates_pruned += self.subtree[depth];
                 return;
             }
             let Some(&id) = req.candidates.get(depth) else {
@@ -500,8 +504,7 @@ fn branch_and_bound(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
                 // legality that shaped the tree (e.g. shared capacity).
                 if pm.validate(req.arrays, &engine.predictor().cfg).is_ok() {
                     self.leaves += 1;
-                    let c = &engine.counters;
-                    c.add(&c.candidates_enumerated, 1);
+                    self.tally.candidates_enumerated += 1;
                     self.batch.push(pm.clone());
                     if self.batch.len() >= BB_FLUSH {
                         self.flush();
@@ -524,13 +527,11 @@ fn branch_and_bound(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
         ub: f64::INFINITY,
         batch: Vec::new(),
         leaves: 0,
+        tally: EngineStats::default(),
         error: None,
     };
     let root = req.base.clone();
-    engine.counters.add(
-        &engine.counters.enumerate_nanos,
-        t0.elapsed().as_nanos() as u64,
-    );
+    engine.bump(|s| s.enumerate_nanos += t0.elapsed().as_nanos() as u64);
     dfs.visit(0, &mut assignment, &root);
     dfs.flush();
     if let Some(e) = dfs.error {

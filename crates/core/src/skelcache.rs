@@ -511,11 +511,13 @@ mod tests {
     use super::*;
 
     fn sample_skeleton() -> Skeleton {
-        let mut consts = TraceAnalysis::default();
-        consts.executed = 123;
-        consts.mlp = 2.5;
-        consts.warps_per_sm = 13.037;
-        consts.waves = 3;
+        let consts = TraceAnalysis {
+            executed: 123,
+            mlp: 2.5,
+            warps_per_sm: 13.037,
+            waves: 3,
+            ..TraceAnalysis::default()
+        };
         Skeleton {
             consts,
             events: vec![
@@ -582,8 +584,8 @@ mod tests {
     fn key_bits_packs_and_caps() {
         assert_eq!(key_bits(&[]), Some(0));
         assert_eq!(key_bits(&[true, false, true]), Some(0b101));
-        assert_eq!(key_bits(&vec![false; 64]), Some(0));
-        assert_eq!(key_bits(&vec![false; 65]), None);
+        assert_eq!(key_bits(&[false; 64]), Some(0));
+        assert_eq!(key_bits(&[false; 65]), None);
     }
 
     #[test]

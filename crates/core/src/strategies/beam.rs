@@ -30,7 +30,6 @@ pub(crate) fn run(sweep: &mut Sweep<'_, '_>, width: usize) -> Result<(), hms_typ
     let t0 = Instant::now();
     let (engine, req) = (sweep.engine, sweep.req);
     let n = req.arrays.len();
-    let c = &engine.counters;
     let width = width.max(1);
 
     let root = Prefix {
@@ -48,7 +47,6 @@ pub(crate) fn run(sweep: &mut Sweep<'_, '_>, width: usize) -> Result<(), hms_typ
                 let mut assignment = prefix.assignment.clone();
                 assignment[id.index()] = Some(space);
                 let lb = engine.lower_bound(&assignment);
-                c.add(&c.candidates_visited, 1);
                 children.push(Prefix {
                     assignment,
                     pm: prefix.pm.with(id, space),
@@ -58,6 +56,7 @@ pub(crate) fn run(sweep: &mut Sweep<'_, '_>, width: usize) -> Result<(), hms_typ
         }
         // Stable sort: bound ties keep expansion order, so the beam's
         // contents are independent of anything but the request.
+        engine.bump(|s| s.candidates_visited += children.len() as u64);
         children.sort_by(|a, b| a.lb.total_cmp(&b.lb));
         for dropped in children.iter().skip(width) {
             sweep.lower_floor(dropped.lb);
@@ -87,8 +86,10 @@ pub(crate) fn run(sweep: &mut Sweep<'_, '_>, width: usize) -> Result<(), hms_typ
             lb: engine.lower_bound(&full_assignment(req.base, n)),
         });
     }
-    c.add(&c.candidates_enumerated, leaves.len() as u64);
-    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
+    engine.bump(|s| {
+        s.candidates_enumerated += leaves.len() as u64;
+        s.enumerate_nanos += t0.elapsed().as_nanos() as u64;
+    });
 
     let pms: Vec<PlacementMap> = leaves.iter().map(|p| p.pm.clone()).collect();
     let done = sweep.evaluate(&pms)?.len();

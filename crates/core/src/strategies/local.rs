@@ -35,7 +35,6 @@ const IMMIGRANTS: usize = 4;
 pub(crate) fn run(sweep: &mut Sweep<'_, '_>, seed: u64) -> Result<(), hms_types::HmsError> {
     let t0 = Instant::now();
     let (engine, req) = (sweep.engine, sweep.req);
-    let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
     let mut rng = hms_stats::rng::Rng::seed_from_u64(seed);
 
@@ -85,13 +84,14 @@ pub(crate) fn run(sweep: &mut Sweep<'_, '_>, seed: u64) -> Result<(), hms_types:
     while population.len() < POP {
         population.push(random_genome(&mut rng));
     }
-    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
+    engine.bump(|s| s.enumerate_nanos += t0.elapsed().as_nanos() as u64);
 
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
     // Evaluated pool across all generations, in evaluation order.
     let mut pool: Vec<(f64, Vec<usize>)> = Vec::new();
     for _gen in 0..GENERATIONS {
-        c.add(&c.candidates_visited, population.len() as u64);
+        let visited = population.len() as u64;
+        engine.bump(|s| s.candidates_visited += visited);
         let mut fresh: Vec<Vec<usize>> = Vec::new();
         for genome in population.drain(..) {
             if seen.insert(genome.clone()) && decode(&genome).validate(req.arrays, cfg).is_ok() {
@@ -99,7 +99,7 @@ pub(crate) fn run(sweep: &mut Sweep<'_, '_>, seed: u64) -> Result<(), hms_types:
             }
         }
         let pms: Vec<PlacementMap> = fresh.iter().map(|g| decode(g)).collect();
-        c.add(&c.candidates_enumerated, pms.len() as u64);
+        engine.bump(|s| s.candidates_enumerated += pms.len() as u64);
         let evaluated = sweep.evaluate(&pms)?;
         for (r, genome) in evaluated.iter().zip(&fresh) {
             pool.push((r.predicted_cycles, genome.clone()));

@@ -318,10 +318,13 @@ impl Handler for MetricsEndpoint {
 pub(crate) struct Kernels;
 
 impl Handler for Kernels {
-    fn poll(&self, _ctx: &Ctx<'_>, req: &Request) -> Outcome {
-        match query_scale(req) {
-            Ok(_) => Outcome::Compute { coalesce: true },
-            Err(e) => Outcome::Ready(Response::error(400, &e)),
+    fn poll(&self, ctx: &Ctx<'_>, req: &Request) -> Outcome {
+        if let Err(e) = query_scale(req) {
+            return Outcome::Ready(Response::error(400, &e));
+        }
+        match ctx.raw_get(req) {
+            Some(body) => Outcome::Ready(Response::json_shared(body)),
+            None => Outcome::Compute { coalesce: true },
         }
     }
 

@@ -1,8 +1,10 @@
-//! Server observability: lock-free counters and latency histograms,
-//! rendered in the Prometheus text exposition format at `GET /metrics`.
+//! Server observability: counters and latency histograms, rendered in
+//! the Prometheus text exposition format at `GET /metrics`.
 //!
-//! Everything is a fixed-shape atomic — no allocation on the request
-//! path — and rendering iterates in a fixed order, so the exposition is
+//! Request-path counters and histograms are fixed-shape atomics — no
+//! allocation or lock on the request path. The engine totals are one
+//! [`EngineStats`] behind a mutex, folded once per search the server
+//! runs. Rendering iterates in a fixed order, so the exposition is
 //! deterministic modulo the counter values themselves. The metrics the
 //! acceptance criteria lean on:
 //!
@@ -12,9 +14,10 @@
 //! * `hms_simulations_total` / `hms_predictions_computed_total` — must
 //!   *not* advance on a warm hit (no re-simulation, no re-rewrite);
 //! * `hms_engine_*` — cumulative [`EngineStats`] from every search the
-//!   server actually ran.
+//!   server actually ran, including the engine's stage timings.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use hms_core::EngineStats;
@@ -94,31 +97,6 @@ impl Histogram {
     }
 }
 
-/// Cumulative counters mirroring [`EngineStats`]'s deterministic fields.
-#[derive(Default)]
-struct EngineTotals {
-    full_rewrites: AtomicU64,
-    skeletons_built: AtomicU64,
-    delta_cache_hits: AtomicU64,
-    exact_fallbacks: AtomicU64,
-    candidates_evaluated: AtomicU64,
-    candidates_pruned: AtomicU64,
-    candidates_visited: AtomicU64,
-    skeleton_disk_hits: AtomicU64,
-    skeleton_disk_misses: AtomicU64,
-    skeleton_disk_writes: AtomicU64,
-    skeleton_disk_tmp_swept: AtomicU64,
-    batched_replays: AtomicU64,
-    events_streamed: AtomicU64,
-    /// Peak lane width over the server's lifetime (a high-water gauge:
-    /// folded with `fetch_max`, matching [`EngineStats::merge`]).
-    lane_width: AtomicU64,
-    /// `f64::to_bits` of the most recent anytime search's reported gap
-    /// upper bound (a gauge: last value wins, exact searches don't
-    /// touch it).
-    last_gap_bits: AtomicU64,
-}
-
 /// All server metrics. One instance per server, shared by `Arc`.
 #[derive(Default)]
 pub struct Metrics {
@@ -169,7 +147,12 @@ pub struct Metrics {
     /// Circuit-breaker state of the most recently evaluated tenant:
     /// 0 = closed, 1 = half-open, 2 = open.
     pub breaker_state: AtomicU64,
-    engine: EngineTotals,
+    /// Cumulative engine counters of every search the server ran.
+    engine: Mutex<EngineStats>,
+    /// `f64::to_bits` of the most recent anytime search's reported gap
+    /// upper bound (a gauge: last value wins, exact searches don't
+    /// touch it — unlike the running max `accumulate` keeps).
+    last_gap_bits: AtomicU64,
 }
 
 impl Metrics {
@@ -189,46 +172,34 @@ impl Metrics {
     }
 
     /// Fold one search's engine counters into the cumulative totals
-    /// (deterministic fields only — wall-clock nanos stay out of the
-    /// exposition so warm-cache assertions can compare exact values).
+    /// with [`EngineStats::accumulate`], stage timings included. Two
+    /// rules `accumulate` does not have: only anytime searches add to
+    /// `candidates_visited`, and the gap gauge is the most recent
+    /// anytime search's bound, not the running max.
     pub fn on_engine_stats(&self, s: &EngineStats) {
-        let e = &self.engine;
-        e.full_rewrites
-            .fetch_add(s.full_rewrites, Ordering::Relaxed);
-        e.skeletons_built
-            .fetch_add(s.skeletons_built, Ordering::Relaxed);
-        e.delta_cache_hits
-            .fetch_add(s.delta_cache_hits, Ordering::Relaxed);
-        e.exact_fallbacks
-            .fetch_add(s.exact_fallbacks, Ordering::Relaxed);
-        e.candidates_evaluated
-            .fetch_add(s.candidates_evaluated, Ordering::Relaxed);
-        e.candidates_pruned
-            .fetch_add(s.candidates_pruned, Ordering::Relaxed);
-        e.skeleton_disk_hits
-            .fetch_add(s.skeleton_disk_hits, Ordering::Relaxed);
-        e.skeleton_disk_misses
-            .fetch_add(s.skeleton_disk_misses, Ordering::Relaxed);
-        e.skeleton_disk_writes
-            .fetch_add(s.skeleton_disk_writes, Ordering::Relaxed);
-        e.skeleton_disk_tmp_swept
-            .fetch_add(s.skeleton_disk_tmp_swept, Ordering::Relaxed);
-        e.batched_replays
-            .fetch_add(s.batched_replays, Ordering::Relaxed);
-        e.events_streamed
-            .fetch_add(s.events_streamed, Ordering::Relaxed);
-        e.lane_width.fetch_max(s.lane_width, Ordering::Relaxed);
+        let mut folded = *s;
         if s.anytime() {
-            e.candidates_visited
-                .fetch_add(s.candidates_visited, Ordering::Relaxed);
-            e.last_gap_bits
+            self.last_gap_bits
                 .store(s.gap_upper_bound.to_bits(), Ordering::Relaxed);
+        } else {
+            folded.candidates_visited = 0;
         }
+        self.engine_totals().accumulate(&folded);
+    }
+
+    /// Lock the engine totals, recovering from a poisoned mutex: the
+    /// lock only ever guards plain additions, so any state is valid.
+    fn engine_totals(&self) -> MutexGuard<'_, EngineStats> {
+        self.engine
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Render the Prometheus text exposition.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(4096);
+        let e = *self.engine_totals();
+        let v = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let g = |out: &mut String, name: &str, help: &str, kind: &str| {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
         };
@@ -301,205 +272,220 @@ impl Metrics {
             ));
         }
 
-        let counters: [(&str, &str, &AtomicU64); 18] = [
+        let counters: [(&str, &str, u64); 29] = [
             (
                 "hms_prediction_cache_hits_total",
                 "Predict queries answered from the prediction cache.",
-                &self.prediction_cache_hits,
+                v(&self.prediction_cache_hits),
             ),
             (
                 "hms_prediction_cache_misses_total",
                 "Predict queries that had to run the model.",
-                &self.prediction_cache_misses,
+                v(&self.prediction_cache_misses),
             ),
             (
                 "hms_search_cache_hits_total",
                 "Advise/search queries answered from the result cache.",
-                &self.search_cache_hits,
+                v(&self.search_cache_hits),
             ),
             (
                 "hms_search_cache_misses_total",
                 "Advise/search queries that had to run the engine.",
-                &self.search_cache_misses,
+                v(&self.search_cache_misses),
             ),
             (
                 "hms_profile_cache_hits_total",
                 "Sample profiles reused from cache.",
-                &self.profile_cache_hits,
+                v(&self.profile_cache_hits),
             ),
             (
                 "hms_profile_cache_misses_total",
                 "Sample profiles that had to be simulated.",
-                &self.profile_cache_misses,
+                v(&self.profile_cache_misses),
             ),
             (
                 "hms_simulations_total",
                 "Sample simulations actually run.",
-                &self.simulations,
+                v(&self.simulations),
             ),
             (
                 "hms_predictions_computed_total",
                 "Predictions actually computed (cache misses).",
-                &self.predictions_computed,
+                v(&self.predictions_computed),
             ),
             (
                 "hms_shed_total",
                 "Requests refused with 503 because the queue was full.",
-                &self.shed,
+                v(&self.shed),
             ),
             (
                 "hms_deadline_exceeded_total",
                 "Requests refused with 504 past their deadline.",
-                &self.deadline_exceeded,
+                v(&self.deadline_exceeded),
             ),
             (
                 "hms_read_timeouts_total",
                 "Requests answered 408: not fully received within the read deadline.",
-                &self.read_timeouts,
+                v(&self.read_timeouts),
             ),
             (
                 "hms_coalesced_requests_total",
                 "Requests answered by joining an identical in-flight computation.",
-                &self.coalesced_requests,
+                v(&self.coalesced_requests),
             ),
             (
                 "hms_singleflight_leaders_total",
                 "Cold requests that led a single-flight computation.",
-                &self.singleflight_leaders,
+                v(&self.singleflight_leaders),
             ),
             (
                 "hms_admission_rejected_total",
                 "Requests refused with 429 by a tenant quota.",
-                &self.admission_rejected,
+                v(&self.admission_rejected),
             ),
             (
                 "hms_watchdog_cancels_total",
                 "Stalled compute slots force-claimed by the pool watchdog.",
-                &self.watchdog_cancels,
+                v(&self.watchdog_cancels),
             ),
             (
                 "hms_degraded_responses_total",
                 "Search responses served with a ladder-downgraded strategy.",
-                &self.degraded_responses,
+                v(&self.degraded_responses),
             ),
             (
                 "hms_engine_full_rewrites_total",
                 "Whole-trace rewrite+analyze runs across all searches.",
-                &self.engine.full_rewrites,
+                e.full_rewrites,
             ),
             (
                 "hms_engine_delta_cache_hits_total",
                 "Candidates composed from memoized deltas.",
-                &self.engine.delta_cache_hits,
+                e.delta_cache_hits,
             ),
-        ];
-        for (name, help, v) in counters {
-            g(&mut out, name, help, "counter");
-            out.push_str(&format!("{name} {}\n", v.load(Ordering::Relaxed)));
-        }
-
-        let more_engine: [(&str, &str, &AtomicU64); 11] = [
             (
                 "hms_engine_skeletons_built_total",
                 "Distinct walk skeletons built.",
-                &self.engine.skeletons_built,
+                e.skeletons_built,
             ),
             (
                 "hms_engine_exact_fallbacks_total",
                 "Candidates that fell back to the exact path.",
-                &self.engine.exact_fallbacks,
+                e.exact_fallbacks,
             ),
             (
                 "hms_engine_candidates_evaluated_total",
                 "Candidates evaluated by the model.",
-                &self.engine.candidates_evaluated,
+                e.candidates_evaluated,
             ),
             (
                 "hms_engine_candidates_pruned_total",
                 "Candidates skipped by branch-and-bound (estimate).",
-                &self.engine.candidates_pruned,
+                e.candidates_pruned,
             ),
             (
                 "hms_engine_candidates_visited_total",
                 "Partial assignments scored by anytime strategies.",
-                &self.engine.candidates_visited,
+                e.candidates_visited,
             ),
             (
                 "hms_engine_skeleton_disk_hits_total",
                 "Skeletons loaded from the persistent cache.",
-                &self.engine.skeleton_disk_hits,
+                e.skeleton_disk_hits,
             ),
             (
                 "hms_engine_skeleton_disk_misses_total",
                 "Persistent-cache probes that fell back to a rebuild.",
-                &self.engine.skeleton_disk_misses,
+                e.skeleton_disk_misses,
             ),
             (
                 "hms_engine_skeleton_disk_writes_total",
                 "Healthy skeletons persisted to disk.",
-                &self.engine.skeleton_disk_writes,
+                e.skeleton_disk_writes,
             ),
             (
                 "hms_engine_skeleton_tmp_swept_total",
                 "Stale skeleton temp files swept at cache open.",
-                &self.engine.skeleton_disk_tmp_swept,
+                e.skeleton_disk_tmp_swept,
             ),
             (
                 "hms_engine_batched_replays_total",
                 "Event-major lane-batched replay passes.",
-                &self.engine.batched_replays,
+                e.batched_replays,
             ),
             (
                 "hms_engine_events_streamed_total",
                 "Skeleton events streamed by batched replays.",
-                &self.engine.events_streamed,
+                e.events_streamed,
             ),
         ];
-        for (name, help, v) in more_engine {
+        for (name, help, n) in counters {
             g(&mut out, name, help, "counter");
-            out.push_str(&format!("{name} {}\n", v.load(Ordering::Relaxed)));
+            out.push_str(&format!("{name} {n}\n"));
         }
 
-        let gauges: [(&str, &str, &AtomicU64); 7] = [
+        let stage_seconds: [(&str, &str, u64); 3] = [
+            (
+                "hms_engine_prepare_seconds_total",
+                "Wall time preparing skeletons and delta memos.",
+                e.prepare_nanos,
+            ),
+            (
+                "hms_engine_enumerate_seconds_total",
+                "Wall time enumerating candidates.",
+                e.enumerate_nanos,
+            ),
+            (
+                "hms_engine_evaluate_seconds_total",
+                "Wall time evaluating candidates.",
+                e.evaluate_nanos,
+            ),
+        ];
+        for (name, help, nanos) in stage_seconds {
+            g(&mut out, name, help, "counter");
+            out.push_str(&format!("{name} {}\n", nanos as f64 / 1e9));
+        }
+
+        let gauges: [(&str, &str, u64); 7] = [
             (
                 "hms_queue_depth",
                 "Jobs waiting for a worker.",
-                &self.queue_depth,
+                v(&self.queue_depth),
             ),
             (
                 "hms_open_connections",
                 "Connections currently registered with the event loops.",
-                &self.open_connections,
+                v(&self.open_connections),
             ),
             (
                 "hms_inflight_requests",
                 "Requests currently being handled.",
-                &self.inflight,
+                v(&self.inflight),
             ),
             (
                 "hms_ready_state",
                 "Readiness: 0=ready, 1=degraded (shedding), 2=draining.",
-                &self.ready_state,
+                v(&self.ready_state),
             ),
             (
                 "hms_degradation_level",
                 "Degradation ladder: 0=normal, 1=beam cap, 2=local-search cap.",
-                &self.degradation_level,
+                v(&self.degradation_level),
             ),
             (
                 "hms_breaker_state",
                 "Circuit breaker: 0=closed, 1=half-open, 2=open.",
-                &self.breaker_state,
+                v(&self.breaker_state),
             ),
             (
                 "hms_engine_lane_width",
                 "Peak replay lane width observed across all searches.",
-                &self.engine.lane_width,
+                e.lane_width,
             ),
         ];
-        for (name, help, v) in gauges {
+        for (name, help, n) in gauges {
             g(&mut out, name, help, "gauge");
-            out.push_str(&format!("{name} {}\n", v.load(Ordering::Relaxed)));
+            out.push_str(&format!("{name} {n}\n"));
         }
         g(
             &mut out,
@@ -509,7 +495,7 @@ impl Metrics {
         );
         out.push_str(&format!(
             "hms_engine_gap_upper_bound {}\n",
-            f64::from_bits(self.engine.last_gap_bits.load(Ordering::Relaxed))
+            f64::from_bits(v(&self.last_gap_bits))
         ));
         out
     }
@@ -632,6 +618,47 @@ mod tests {
             Metrics::scrape_counter(&text, "hms_engine_gap_upper_bound"),
             Some(0.25)
         );
+        // Last anytime search wins, not the running max `accumulate`
+        // keeps: a looser earlier bound and a later exact search leave
+        // the gauge at the most recent anytime bound.
+        let loose = EngineStats {
+            gap_upper_bound: 0.5,
+            ..beam
+        };
+        m.on_engine_stats(&loose);
+        m.on_engine_stats(&beam);
+        m.on_engine_stats(&exact);
+        let text = m.render();
+        assert_eq!(
+            Metrics::scrape_counter(&text, "hms_engine_gap_upper_bound"),
+            Some(0.25)
+        );
+        assert!(text.contains("hms_engine_candidates_visited_total 40"));
+    }
+
+    #[test]
+    fn stage_timings_are_exported_as_seconds_counters() {
+        let m = Metrics::new();
+        let text = m.render();
+        assert!(text.contains("# TYPE hms_engine_prepare_seconds_total counter"));
+        assert!(text.contains("hms_engine_evaluate_seconds_total 0\n"));
+        let s = EngineStats {
+            prepare_nanos: 1_500_000,
+            enumerate_nanos: 250_000,
+            evaluate_nanos: 2_000_000_000,
+            ..EngineStats::default()
+        };
+        m.on_engine_stats(&s);
+        m.on_engine_stats(&s);
+        let text = m.render();
+        for (series, seconds) in [
+            ("hms_engine_prepare_seconds_total", 0.003),
+            ("hms_engine_enumerate_seconds_total", 0.0005),
+            ("hms_engine_evaluate_seconds_total", 4.0),
+        ] {
+            assert!(text.contains(&format!("# TYPE {series} counter")));
+            assert_eq!(Metrics::scrape_counter(&text, series), Some(seconds));
+        }
     }
 
     #[test]

@@ -293,10 +293,7 @@ impl<'t> Machine<'t> {
         }
 
         let mut finish: u64 = 0;
-        loop {
-            let Some(now) = self.sms.iter().filter(|s| s.live > 0).map(|s| s.wake).min() else {
-                break;
-            };
+        while let Some(now) = self.sms.iter().filter(|s| s.live > 0).map(|s| s.wake).min() {
             if now > self.opts.max_cycles {
                 return Err(HmsError::InvalidInput(format!(
                     "simulation exceeded {} cycles (deadlock or runaway kernel?)",

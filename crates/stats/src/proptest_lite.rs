@@ -314,7 +314,7 @@ mod tests {
             .split("replay:")
             .next()
             .unwrap()
-            .matches(|c: char| c == ',')
+            .matches(',')
             .count();
         assert!(elements <= 1, "witness not minimal: {msg}");
     }

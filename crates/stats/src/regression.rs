@@ -335,10 +335,10 @@ fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> Result<Vec<f64>, HmsE
                 pivot = row;
             }
         }
-        // `!(best >= 1e-12)` instead of `best < 1e-12`: a NaN diagonal
-        // (possible when callers bypass `fit`'s input screen) fails
-        // every ordered comparison and would otherwise be "pivotable".
-        if !(best >= 1e-12) {
+        // A NaN diagonal (possible when callers bypass `fit`'s input
+        // screen) fails every ordered comparison and would otherwise be
+        // "pivotable", so it is rejected explicitly.
+        if best.is_nan() || best < 1e-12 {
             return Err(HmsError::Numerical("singular normal equations".into()));
         }
         if pivot != col {

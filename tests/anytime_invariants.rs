@@ -13,12 +13,13 @@
 //!   recompute it on the next identical request instead of serving the
 //!   truncated body forever.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use gpu_hms::prelude::*;
 use hms_stats::proptest_lite::{check, Config};
+
+mod common;
+use common::{Client, Reply};
 
 fn setup(kernel: &str) -> (Predictor, Profile, Vec<hms_types::ArrayDef>) {
     let cfg = GpuConfig::test_small();
@@ -133,72 +134,8 @@ fn local_search_is_bit_identical_across_worker_counts_on_wide_kernels() {
     }
 }
 
-/// Minimal keep-alive HTTP/1.1 test client (same shape as serve_e2e).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        let writer = stream.try_clone().expect("clones");
-        Client {
-            reader: BufReader::new(stream),
-            writer,
-        }
-    }
-
-    fn post(&mut self, path: &str, body: &str) -> (u16, String) {
-        write!(
-            self.writer,
-            "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("writes");
-        self.writer.flush().unwrap();
-        self.read_response()
-    }
-
-    fn get(&mut self, path: &str) -> (u16, String) {
-        write!(self.writer, "GET {path} HTTP/1.1\r\nhost: t\r\n\r\n").expect("writes");
-        self.writer.flush().unwrap();
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> (u16, String) {
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).expect("status");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).unwrap();
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().unwrap();
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).unwrap();
-        (status, String::from_utf8(body).unwrap())
-    }
-}
+/// Per-read timeout of every test connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A deadline-cut (`"partial": true`) search response must never enter
 /// the rank cache: the identical follow-up request recomputes. A
@@ -213,7 +150,7 @@ fn partial_deadline_cut_searches_are_never_cached() {
         )
     };
     let hits = |c: &mut Client| {
-        let (status, text) = c.get("/metrics");
+        let Reply { status, body: text } = c.get("/metrics");
         assert_eq!(status, 200);
         Metrics::scrape_counter(&text, "hms_search_cache_hits_total").unwrap()
     };
@@ -225,12 +162,12 @@ fn partial_deadline_cut_searches_are_never_cached() {
         .workers(1)
         .spawn(ConfigRegistry::new("default", advisor()))
         .expect("binds");
-    let mut c = Client::connect(relaxed.addr());
+    let mut c = Client::connect(relaxed.addr(), READ_TIMEOUT);
     let small = r#"{"kernel":"vecadd","scale":"test","top":1}"#;
-    let (status, body) = c.post("/v1/search", small);
+    let Reply { status, body } = c.post("/v1/search", small);
     assert_eq!(status, 200);
     assert!(!body.contains("\"partial\""), "vecadd was cut: {body}");
-    let (status, _) = c.post("/v1/search", small);
+    let Reply { status, .. } = c.post("/v1/search", small);
     assert_eq!(status, 200);
     assert_eq!(hits(&mut c), 1.0, "completed search must be cached");
     relaxed.shutdown();
@@ -248,13 +185,13 @@ fn partial_deadline_cut_searches_are_never_cached() {
         .spawn(ConfigRegistry::new("default", advisor()))
         .expect("binds");
     tight.set_clock_skew(deadline);
-    let mut c = Client::connect(tight.addr());
+    let mut c = Client::connect(tight.addr(), READ_TIMEOUT);
     for body in [
         r#"{"kernel":"wide8","scale":"test","top":1}"#,
         r#"{"kernel":"wide8","scale":"test","top":1,"strategy":"halving"}"#,
     ] {
         for round in 0..2 {
-            let (status, text) = c.post("/v1/search", body);
+            let Reply { status, body: text } = c.post("/v1/search", body);
             assert_eq!(status, 200);
             assert!(
                 text.contains("\"partial\": true"),

@@ -12,8 +12,6 @@
 //! * with faults disabled, predictions are byte-identical before and
 //!   after the storm — degradation machinery is invisible when idle.
 
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,8 +28,11 @@ use gpu_hms::serve::{
 };
 use gpu_hms::types::GpuConfig;
 
+mod common;
+use common::{Client, Reply};
+
 /// The pinned default plan seed; `HMS_CHAOS_SEED=<n>` replays any other.
-const DEFAULT_SEED: u64 = 0xC1A0_05;
+const DEFAULT_SEED: u64 = 0x00C1_A005;
 
 fn chaos_seed() -> u64 {
     std::env::var("HMS_CHAOS_SEED")
@@ -57,60 +58,8 @@ fn chaos_server() -> gpu_hms::serve::ServerHandle {
         .expect("binds ephemeral port")
 }
 
-/// Minimal well-formed HTTP/1.1 client for the non-fault probes.
-struct Probe {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Probe {
-    fn connect(addr: SocketAddr) -> Probe {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let writer = stream.try_clone().expect("clones");
-        Probe {
-            reader: BufReader::new(stream),
-            writer,
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("writes");
-        self.writer.flush().unwrap();
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).expect("status");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).expect("header");
-            if line.trim_end().is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().expect("length");
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("body");
-        (status, String::from_utf8(body).expect("utf8 body"))
-    }
-}
+/// Per-read timeout of every probe connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 const PREDICT: &str = r#"{"kernel":"vecadd","scale":"test","moves":[{"array":"a","space":"T"}]}"#;
 
@@ -122,7 +71,10 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
     let addr = h.addr();
 
     // Baseline prediction before any fault is committed.
-    let (status, baseline) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let Reply {
+        status,
+        body: baseline,
+    } = Client::connect(addr, READ_TIMEOUT).post("/v1/predict", PREDICT);
     assert_eq!(status, 200, "{baseline}");
 
     let mut client = FaultClient::new(addr);
@@ -141,7 +93,7 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
         // The cardinal invariant: one poisoned connection never takes
         // the process (or a worker) with it. A hung worker pool would
         // stall this probe past its 10 s timeout.
-        let (status, body) = Probe::connect(addr).request("GET", "/healthz", "");
+        let Reply { status, body } = Client::connect(addr, READ_TIMEOUT).get("/healthz");
         assert_eq!(
             (status, body.as_str()),
             (200, "ok\n"),
@@ -153,7 +105,7 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
 
     // Every slowloris that earned its 408 is visible to the operator.
     if saw_408 {
-        let (_, text) = Probe::connect(addr).request("GET", "/metrics", "");
+        let Reply { body: text, .. } = Client::connect(addr, READ_TIMEOUT).get("/metrics");
         let timeouts = Metrics::scrape_counter(&text, "hms_read_timeouts_total")
             .expect("read-timeout series exists");
         assert!(timeouts >= 1.0, "408s answered but not counted");
@@ -161,7 +113,10 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
 
     // With faults off the wire again, the model output is bit-identical
     // to the pre-chaos baseline: nothing degraded stays degraded.
-    let (status, after) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let Reply {
+        status,
+        body: after,
+    } = Client::connect(addr, READ_TIMEOUT).post("/v1/predict", PREDICT);
     assert_eq!(status, 200);
     assert_eq!(baseline, after, "prediction bytes drifted across chaos");
     h.shutdown();
@@ -179,19 +134,19 @@ fn distinct_seeds_give_distinct_but_replayable_schedules() {
 #[test]
 fn readiness_is_distinct_from_liveness() {
     let h = chaos_server();
-    let mut p = Probe::connect(h.addr());
+    let mut p = Client::connect(h.addr(), READ_TIMEOUT);
 
     // Healthy: ready, and the gauge agrees with the endpoint.
-    let (status, body) = p.request("GET", "/readyz", "");
+    let Reply { status, body } = p.get("/readyz");
     assert_eq!((status, body.as_str()), (200, "ready\n"));
-    let (_, text) = p.request("GET", "/metrics", "");
+    let Reply { body: text, .. } = p.get("/metrics");
     assert_eq!(
         Metrics::scrape_counter(&text, "hms_ready_state"),
         Some(0.0),
         "gauge disagrees with /readyz"
     );
     // Liveness body is part of the wire contract — byte-exact.
-    let (status, body) = p.request("GET", "/healthz", "");
+    let Reply { status, body } = p.get("/healthz");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // The classification function behind /readyz, on the states a live
@@ -306,11 +261,16 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     let addr = h.addr();
 
     // Pre-storm baselines for the byte-identity check at the end.
-    let (status, predict_before) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let Reply {
+        status,
+        body: predict_before,
+    } = Client::connect(addr, READ_TIMEOUT).post("/v1/predict", PREDICT);
     assert_eq!(status, 200, "{predict_before}");
     const BASELINE_SEARCH: &str = r#"{"kernel":"vecadd","scale":"test","top":2}"#;
-    let (status, search_before) =
-        Probe::connect(addr).request("POST", "/v1/search", BASELINE_SEARCH);
+    let Reply {
+        status,
+        body: search_before,
+    } = Client::connect(addr, READ_TIMEOUT).post("/v1/search", BASELINE_SEARCH);
     assert_eq!(status, 200, "{search_before}");
     assert_exact_or_degraded(status, &search_before, "pre-storm baseline");
 
@@ -318,7 +278,11 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     // each storm search exercises the engine + faulty disk, not the
     // rank cache.
     let storm_query = |i: usize| {
-        let kernel = if i % 2 == 0 { "vecadd" } else { "spmv" };
+        let kernel = if i.is_multiple_of(2) {
+            "vecadd"
+        } else {
+            "spmv"
+        };
         format!(r#"{{"kernel":"{kernel}","scale":"test","top":{}}}"#, 3 + i)
     };
     // Queries issued degraded during the storm, to be re-run exact
@@ -334,7 +298,8 @@ fn resource_storm_degrades_gracefully_and_recovers() {
             Some(mode) => {
                 fs.set(mode);
                 let q = storm_query(i);
-                let (status, body) = Probe::connect(addr).request("POST", "/v1/search", &q);
+                let Reply { status, body } =
+                    Client::connect(addr, READ_TIMEOUT).post("/v1/search", &q);
                 if let Some((best, gap)) = assert_exact_or_degraded(status, &body, &when) {
                     degraded_probes.push((q, best, gap));
                 }
@@ -346,10 +311,14 @@ fn resource_storm_degrades_gracefully_and_recovers() {
                     // being answered by the rest of the pool while the
                     // watchdog force-claims the wedged slot with a 504.
                     let wedged = std::thread::scope(|s| {
-                        let t = s.spawn(|| Probe::connect(addr).request("POST", "/v1/wedge", "{}"));
+                        let t = s.spawn(|| {
+                            let r = Client::connect(addr, READ_TIMEOUT).post("/v1/wedge", "{}");
+                            (r.status, r.body)
+                        });
                         std::thread::sleep(Duration::from_millis(10));
                         let q = storm_query(i);
-                        let (status, body) = Probe::connect(addr).request("POST", "/v1/search", &q);
+                        let Reply { status, body } =
+                            Client::connect(addr, READ_TIMEOUT).post("/v1/search", &q);
                         if let Some((best, gap)) = assert_exact_or_degraded(status, &body, &when) {
                             degraded_probes.push((q, best, gap));
                         }
@@ -375,7 +344,8 @@ fn resource_storm_degrades_gracefully_and_recovers() {
                     // gap on the wire.
                     h.set_clock_skew(case.skew());
                     let q = storm_query(i);
-                    let (status, body) = Probe::connect(addr).request("POST", "/v1/search", &q);
+                    let Reply { status, body } =
+                        Client::connect(addr, READ_TIMEOUT).post("/v1/search", &q);
                     let (best, gap) = assert_exact_or_degraded(status, &body, &when)
                         .unwrap_or_else(|| {
                             panic!("{when}: a skewed-out search served exact? {body}")
@@ -387,7 +357,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
             },
         }
         // The cardinal invariant, after every committed case.
-        let (status, body) = Probe::connect(addr).request("GET", "/healthz", "");
+        let Reply { status, body } = Client::connect(addr, READ_TIMEOUT).get("/healthz");
         assert_eq!(
             (status, body.as_str()),
             (200, "ok\n"),
@@ -421,7 +391,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
             r#"{{"kernel":"vecadd","scale":"test","top":{}}}"#,
             100 + attempt
         );
-        let (status, _) = Probe::connect(addr).request("POST", "/v1/search", &q);
+        let Reply { status, .. } = Client::connect(addr, READ_TIMEOUT).post("/v1/search", &q);
         assert_eq!(status, 200);
         assert!(
             Instant::now() < recovery_deadline,
@@ -431,7 +401,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     }
     // Non-degraded readiness within a watchdog sweep of reaching 0.
     std::thread::sleep(sweep);
-    let (status, body) = Probe::connect(addr).request("GET", "/readyz", "");
+    let Reply { status, body } = Client::connect(addr, READ_TIMEOUT).get("/readyz");
     assert_eq!(
         (status, body.as_str()),
         (200, "ready\n"),
@@ -440,14 +410,19 @@ fn resource_storm_degrades_gracefully_and_recovers() {
 
     // Byte-identity across the storm: the same predict query answers
     // with the exact same bytes it did before any fault was committed.
-    let (status, predict_after) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let Reply {
+        status,
+        body: predict_after,
+    } = Client::connect(addr, READ_TIMEOUT).post("/v1/predict", PREDICT);
     assert_eq!(status, 200);
     assert_eq!(
         predict_before, predict_after,
         "prediction bytes drifted across the resource storm"
     );
-    let (status, search_after) =
-        Probe::connect(addr).request("POST", "/v1/search", BASELINE_SEARCH);
+    let Reply {
+        status,
+        body: search_after,
+    } = Client::connect(addr, READ_TIMEOUT).post("/v1/search", BASELINE_SEARCH);
     assert_eq!(status, 200);
     assert_eq!(
         search_before, search_after,
@@ -458,7 +433,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     // exact (degraded bodies are never cached, so this recomputes), and
     // check the documented contract `best <= optimum * (1 + gap)`.
     for (q, degraded_best, gap) in &degraded_probes {
-        let (status, body) = Probe::connect(addr).request("POST", "/v1/search", q);
+        let Reply { status, body } = Client::connect(addr, READ_TIMEOUT).post("/v1/search", q);
         assert_eq!(status, 200, "{body}");
         let v = decode(&body).expect("exact rerun is JSON");
         assert!(
@@ -484,7 +459,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
 
     // A watchdog kill (if the plan scheduled one) is operator-visible.
     if saw_watchdog_kill {
-        let (_, text) = Probe::connect(addr).request("GET", "/metrics", "");
+        let Reply { body: text, .. } = Client::connect(addr, READ_TIMEOUT).get("/metrics");
         let kills = Metrics::scrape_counter(&text, "hms_watchdog_cancels_total")
             .expect("watchdog series exists");
         assert!(kills >= 1.0, "watchdog 504s answered but not counted");
@@ -505,29 +480,26 @@ fn quota_exhaustion_is_a_429_and_cache_hits_stay_free() {
         .quota(1, 0)
         .spawn(ConfigRegistry::new("default", advisor()))
         .expect("binds");
-    let mut p = Probe::connect(h.addr());
+    let mut p = Client::connect(h.addr(), READ_TIMEOUT);
 
     let first = r#"{"kernel":"vecadd","scale":"test","top":1}"#;
-    let (status, body) = p.request("POST", "/v1/search", first);
+    let Reply { status, body } = p.post("/v1/search", first);
     assert_eq!(status, 200, "{body}");
 
     // Second cold query: the bucket is empty.
-    let (status, body) = p.request(
-        "POST",
-        "/v1/search",
-        r#"{"kernel":"spmv","scale":"test","top":1}"#,
-    );
+    let Reply { status, body } =
+        p.post("/v1/search", r#"{"kernel":"spmv","scale":"test","top":1}"#);
     assert_eq!(
         status, 429,
         "expected quota rejection, got {status}: {body}"
     );
 
     // The first query again: a rank-cache hit, served without a token.
-    let (status, _) = p.request("POST", "/v1/search", first);
+    let Reply { status, .. } = p.post("/v1/search", first);
     assert_eq!(status, 200, "cache hits must not consume quota");
 
     // Rejections are counted for the operator.
-    let (_, text) = p.request("GET", "/metrics", "");
+    let Reply { body: text, .. } = p.get("/metrics");
     let rejected = Metrics::scrape_counter(&text, "hms_admission_rejected_total")
         .expect("admission series exists");
     assert!(rejected >= 1.0);

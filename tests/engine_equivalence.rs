@@ -232,6 +232,31 @@ fn batched_replay_is_bit_identical_across_lane_widths_and_workers() {
                     ));
                 }
             }
+            // No bump may be lost under contention: every counter that
+            // does not follow the lane width matches a one-worker,
+            // autosized run of the same kernel.
+            let reference = Engine::new(&predictor, profile);
+            reference.inject_poison(poison);
+            reference.rank(space, 1).map_err(|e| e.to_string())?;
+            let r = reference.stats();
+            let independent = |s: &EngineStats| {
+                [
+                    s.skeletons_built,
+                    s.full_rewrites,
+                    s.delta_cache_hits,
+                    s.exact_fallbacks,
+                    s.memo_tables_built,
+                    s.candidates_evaluated,
+                ]
+            };
+            if independent(&stats) != independent(&r) {
+                return Err(format!(
+                    "{name}: counters {:?} differ from the one-worker reference {:?} \
+                     (lane_width={width}, threads={threads}, poison={poison})",
+                    independent(&stats),
+                    independent(&r)
+                ));
+            }
             Ok(())
         },
     );

@@ -4,8 +4,8 @@
 //! claims (a warm repeat query re-runs neither the simulator nor the
 //! trace-rewrite engine).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -16,6 +16,9 @@ use gpu_hms::serve::{
     ServerConfig,
 };
 use gpu_hms::types::GpuConfig;
+
+mod common;
+use common::Client;
 
 fn advisor(cfg: GpuConfig) -> Advisor {
     Advisor::new(cfg.clone(), Predictor::new(cfg))
@@ -28,80 +31,8 @@ fn test_server(mutate: impl FnOnce(ServerConfig) -> ServerConfig) -> gpu_hms::se
         .expect("binds ephemeral port")
 }
 
-/// Minimal keep-alive HTTP/1.1 test client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-struct Response {
-    status: u16,
-    body: String,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let writer = stream.try_clone().expect("clones");
-        Client {
-            reader: BufReader::new(stream),
-            writer,
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> Response {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("writes");
-        self.writer.flush().unwrap();
-        self.read_response().expect("response")
-    }
-
-    fn read_response(&mut self) -> Option<Response> {
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).ok()?;
-        if status_line.is_empty() {
-            return None;
-        }
-        let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).ok()?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().ok()?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).ok()?;
-        Some(Response {
-            status,
-            body: String::from_utf8(body).ok()?,
-        })
-    }
-
-    fn get(&mut self, path: &str) -> Response {
-        self.request("GET", path, "")
-    }
-
-    fn post(&mut self, path: &str, body: &str) -> Response {
-        self.request("POST", path, body)
-    }
-}
+/// Per-read timeout of every test connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 fn counter(c: &mut Client, series: &str) -> f64 {
     let text = c.get("/metrics").body;
@@ -113,7 +44,7 @@ const PREDICT: &str = r#"{"kernel":"vecadd","scale":"test","moves":[{"array":"a"
 #[test]
 fn healthz_kernels_and_not_found() {
     let h = test_server(|c| c);
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
     let r = c.get("/healthz");
     assert_eq!((r.status, r.body.as_str()), (200, "ok\n"));
 
@@ -125,6 +56,17 @@ fn healthz_kernels_and_not_found() {
         r.body
     );
     assert!(r.body.contains("\"scale\": \"test\""));
+    // A repeat is answered from the raw-request memo: the same bytes,
+    // and no new single-flight computation.
+    let leaders = counter(&mut c, "hms_singleflight_leaders_total");
+    let again = c.get("/v1/kernels?scale=test");
+    assert_eq!(again.status, 200);
+    assert_eq!(again.body, r.body, "memoized kernels body diverged");
+    assert_eq!(
+        counter(&mut c, "hms_singleflight_leaders_total"),
+        leaders,
+        "a repeat /v1/kernels rebuilt the registry"
+    );
     assert_eq!(c.get("/v1/kernels?scale=medium").status, 400);
 
     assert_eq!(c.get("/v1/nope").status, 404);
@@ -137,7 +79,7 @@ fn healthz_kernels_and_not_found() {
 #[test]
 fn predict_warm_cache_skips_model_work() {
     let h = test_server(|c| c);
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
 
     let r1 = c.post("/v1/predict", PREDICT);
     assert_eq!(r1.status, 200, "{}", r1.body);
@@ -170,7 +112,7 @@ fn predict_warm_cache_skips_model_work() {
 #[test]
 fn search_warm_cache_skips_engine_work() {
     let h = test_server(|c| c);
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
     let body = r#"{"kernel":"vecadd","scale":"test","top":3}"#;
 
     let r1 = c.post("/v1/search", body);
@@ -209,7 +151,7 @@ fn search_warm_cache_skips_engine_work() {
 #[test]
 fn client_errors_are_4xx() {
     let h = test_server(|c| c);
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
     // Malformed JSON.
     let r = c.post("/v1/predict", "{not json");
     assert_eq!(r.status, 400);
@@ -236,7 +178,7 @@ fn client_errors_are_4xx() {
 #[test]
 fn zero_deadline_rejects_model_queries_but_not_probes() {
     let h = test_server(|c| c.deadline(Duration::ZERO));
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
     // Liveness and metrics stay reachable on a saturated deadline.
     assert_eq!(c.get("/healthz").status, 200);
     assert_eq!(c.get("/metrics").status, 200);
@@ -251,7 +193,7 @@ fn zero_deadline_rejects_model_queries_but_not_probes() {
 fn zero_queue_sheds_with_503() {
     let h = test_server(|c| c.queue_depth(0));
     // Every connection is refused before reaching a worker.
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
     let r = c.read_response().expect("shed response");
     assert_eq!(r.status, 503, "{}", r.body);
     assert!(r.body.contains("overloaded"));
@@ -266,7 +208,7 @@ fn concurrent_clients_get_consistent_answers() {
         (0..4)
             .map(|_| {
                 s.spawn(move || {
-                    let mut c = Client::connect(addr);
+                    let mut c = Client::connect(addr, READ_TIMEOUT);
                     let mut last = String::new();
                     for _ in 0..20 {
                         let r = c.post("/v1/predict", PREDICT);
@@ -286,7 +228,7 @@ fn concurrent_clients_get_consistent_answers() {
         "clients saw different bodies for the same query"
     );
     // 80 requests, exactly one simulation.
-    let mut c = Client::connect(addr);
+    let mut c = Client::connect(addr, READ_TIMEOUT);
     assert_eq!(counter(&mut c, "hms_simulations_total"), 1.0);
     h.shutdown();
 }
@@ -295,7 +237,7 @@ fn concurrent_clients_get_consistent_answers() {
 fn graceful_shutdown_closes_the_port() {
     let h = test_server(|c| c);
     let addr = h.addr();
-    let mut c = Client::connect(addr);
+    let mut c = Client::connect(addr, READ_TIMEOUT);
     assert_eq!(c.post("/v1/predict", PREDICT).status, 200);
     h.shutdown(); // joins every thread; in-flight work already drained
     std::thread::sleep(Duration::from_millis(50));
@@ -357,7 +299,7 @@ fn single_flight_coalesces_concurrent_identical_requests() {
             .map(|_| {
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
-                    let mut c = Client::connect(addr);
+                    let mut c = Client::connect(addr, READ_TIMEOUT);
                     barrier.wait();
                     let r = c.post("/v1/slow", "7");
                     assert_eq!(r.status, 200, "{}", r.body);
@@ -379,7 +321,7 @@ fn single_flight_coalesces_concurrent_identical_requests() {
         1,
         "single-flight must run the handler exactly once"
     );
-    let mut c = Client::connect(addr);
+    let mut c = Client::connect(addr, READ_TIMEOUT);
     assert_eq!(counter(&mut c, "hms_singleflight_leaders_total"), 1.0);
     assert_eq!(
         counter(&mut c, "hms_coalesced_requests_total"),
@@ -408,7 +350,7 @@ fn coalescing_can_be_disabled() {
         for _ in 0..CLIENTS {
             let barrier = Arc::clone(&barrier);
             s.spawn(move || {
-                let mut c = Client::connect(addr);
+                let mut c = Client::connect(addr, READ_TIMEOUT);
                 barrier.wait();
                 assert_eq!(c.post("/v1/slow", "7").status, 200);
             });
@@ -419,7 +361,7 @@ fn coalescing_can_be_disabled() {
         CLIENTS as u64,
         "with coalescing off every request must compute independently"
     );
-    let mut c = Client::connect(addr);
+    let mut c = Client::connect(addr, READ_TIMEOUT);
     assert_eq!(counter(&mut c, "hms_coalesced_requests_total"), 0.0);
     h.shutdown();
 }
@@ -437,7 +379,7 @@ fn tenants_never_share_cache_entries() {
         .workers(2)
         .spawn(registry)
         .expect("binds ephemeral port");
-    let mut c = Client::connect(h.addr());
+    let mut c = Client::connect(h.addr(), READ_TIMEOUT);
 
     const PREDICT_C2050: &str = r#"{"kernel":"vecadd","scale":"test","config":"c2050","moves":[{"array":"a","space":"T"}]}"#;
 
