@@ -1,8 +1,8 @@
 //! **Figure 5**: prediction accuracy of the full model vs the
-//! Sim-et-al.-style [7] baseline over the evaluation suite.
+//! Sim-et-al.-style \[7\] baseline over the evaluation suite.
 //!
 //! The paper reports 9.9% average error for its model and a 17.6%
-//! average accuracy improvement over [7], with the largest gains on
+//! average accuracy improvement over \[7\], with the largest gains on
 //! NN_C / SCAN_2 (instruction replays) and Reduction_2 (row-buffer
 //! misses).
 //!

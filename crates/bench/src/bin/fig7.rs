@@ -2,7 +2,7 @@
 //! -mode difference + instruction replays) on modeling accuracy.
 //!
 //! "Introducing the detailed instruction counting improves modeling
-//! accuracy by 17% on average ... fft_1, NN_S, and bfs_2 [show] 142%,
+//! accuracy by 17% on average ... fft_1, NN_S, and bfs_2 \[show\] 142%,
 //! 106%, and 67% difference in modeling accuracy."
 //!
 //! ```text

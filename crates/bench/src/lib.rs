@@ -20,7 +20,7 @@
 //! | `table1`        | Table I (cosine similarity of events)        |
 //! | `alg1`          | Algorithm 1 (mapping detection + latencies)  |
 //! | `fig4`          | Figure 4 (inter-arrival distributions, c_a)  |
-//! | `fig5`          | Figure 5 (ours vs [7] prediction accuracy)   |
+//! | `fig5`          | Figure 5 (ours vs \[7\] prediction accuracy)   |
 //! | `fig6`          | Figure 6 (ranking vs PORPLE)                 |
 //! | `fig7`          | Figure 7 (instruction-counting ablation)     |
 //! | `fig8`          | Figure 8 (queuing + address-mapping ablation)|

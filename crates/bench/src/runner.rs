@@ -147,7 +147,7 @@ pub fn run_suite(
     })
 }
 
-/// Run the [7]-style baseline over the suite.
+/// Run the \[7\]-style baseline over the suite.
 pub fn run_suite_simkim(h: &Harness, suite: &[PlacementTest]) -> Vec<ExperimentResult> {
     let model = SimKimModel::new(h.cfg.clone());
     par_map(suite, |t| {

@@ -104,8 +104,6 @@ pub enum Command {
         train: bool,
         /// Directory for the persistent engine-skeleton cache.
         skel_cache: Option<String>,
-        /// Disable single-flight coalescing (`--no-coalesce`).
-        no_coalesce: bool,
         /// Extra tenants: `--tenant NAME=PRESET`, repeatable. The
         /// default tenant (the K80, or `--config`) is always present.
         tenants: Vec<(String, String)>,
@@ -120,7 +118,7 @@ pub enum Command {
     Help,
 }
 
-/// Parse a full argument vector (excluding argv[0]).
+/// Parse a full argument vector (excluding `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let Some(cmd) = it.next() else {
@@ -143,7 +141,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut queue = 128usize;
     let mut skel_cache: Option<String> = None;
     let mut shards = 0usize;
-    let mut no_coalesce = false;
     let mut config: Option<String> = None;
     let mut strategy: Option<String> = None;
     let mut seed: Option<u64> = None;
@@ -215,7 +212,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let v = rest.get(i).ok_or("--shards needs a number")?;
                 shards = v.parse().map_err(|_| format!("bad --shards value `{v}`"))?;
             }
-            "--no-coalesce" => no_coalesce = true,
             "--strategy" => {
                 i += 1;
                 let v = rest.get(i).ok_or("--strategy needs a name")?;
@@ -315,7 +311,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             queue,
             train,
             skel_cache,
-            no_coalesce,
             tenants,
         }),
         "dump" => Ok(Command::Dump {
@@ -339,7 +334,7 @@ USAGE:
     hms advise   <kernel> [--scale full|test] [--config NAME] [--train] [--top N] [--json]
     hms search   <kernel> [--scale full|test] [--config NAME] [--train] [--top N] [--stats] [--prune] [--strategy NAME] [--beam W] [--seed N] [--threads N] [--deadline-ms N] [--skel-cache DIR] [--json]
     hms dump     <kernel> [--scale full|test] [--move array=SPACE]...
-    hms serve    [--addr HOST] [--port N] [--workers N] [--shards N] [--cache-entries N] [--deadline-ms N] [--queue N] [--no-coalesce] [--tenant NAME=PRESET]... [--train] [--skel-cache DIR]
+    hms serve    [--addr HOST] [--port N] [--workers N] [--shards N] [--cache-entries N] [--deadline-ms N] [--queue N] [--tenant NAME=PRESET]... [--train] [--skel-cache DIR]
 
 SPACES: G (global), T (1-D texture), 2T (2-D texture), C (constant), S (shared)
 
@@ -373,7 +368,8 @@ ephemeral port (the bound address is printed). SIGINT/SIGTERM drain
 in-flight requests and exit cleanly. The event-driven core answers warm
 (cached) requests on `--shards` poll loops and runs cold model work on
 `--workers` threads; identical concurrent requests are answered by one
-computation unless `--no-coalesce`. `--tenant NAME=PRESET` (repeatable)
+computation. `--cache-entries` caps the response bodies cached, all
+endpoints and tenants together. `--tenant NAME=PRESET` (repeatable)
 adds a named GPU configuration requests select with \"config\": NAME.
 
 EXAMPLES:
@@ -586,7 +582,6 @@ mod tests {
             queue,
             train,
             skel_cache,
-            no_coalesce,
             tenants,
         } = cmd
         else {
@@ -601,7 +596,6 @@ mod tests {
         assert!(!train);
         assert_eq!(skel_cache, None);
         assert_eq!(shards, 0);
-        assert!(!no_coalesce);
         assert!(tenants.is_empty());
         assert!(parse(&v(&["serve", "--port", "high"])).is_err());
 
@@ -645,7 +639,6 @@ mod tests {
             "4",
             "--shards",
             "2",
-            "--no-coalesce",
             "--tenant",
             "legacy=c2050",
             "--tenant",
@@ -655,7 +648,6 @@ mod tests {
         let Command::Serve {
             threads,
             shards,
-            no_coalesce,
             tenants,
             ..
         } = cmd
@@ -664,7 +656,6 @@ mod tests {
         };
         assert_eq!(threads, 4, "--workers must alias --threads");
         assert_eq!(shards, 2);
-        assert!(no_coalesce);
         assert_eq!(
             tenants,
             vec![

@@ -359,7 +359,6 @@ fn run(cmd: Command) -> Result<(), CliError> {
             queue,
             train,
             skel_cache,
-            no_coalesce,
             tenants,
         } => {
             // A client hanging up mid-response must be an io error on
@@ -384,7 +383,6 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 .cache_entries(cache_entries)
                 .deadline(Duration::from_millis(deadline_ms))
                 .queue_depth(queue)
-                .coalescing(!no_coalesce)
                 .spawn(registry)
                 .map_err(|e| CliError {
                     code: 1,

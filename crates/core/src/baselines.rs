@@ -1,13 +1,13 @@
 //! The comparison models of the paper's evaluation.
 //!
-//! * [`SimKimModel`] — a model in the style of Sim et al. [7] (itself
-//!   built on Hong & Kim [6]): executed-instruction counts (no replays,
+//! * [`SimKimModel`] — a model in the style of Sim et al. \[7\] (itself
+//!   built on Hong & Kim \[6\]): executed-instruction counts (no replays,
 //!   no addressing-mode difference), a constant microbenchmark-measured
 //!   DRAM latency, and the MWP/CWP formulation for the
 //!   computation/memory overlap instead of a trained Eq. 11. This is the
-//!   "[7]" line in Figure 5.
+//!   "\[7\]" line in Figure 5.
 //! * [`PorpleModel`] — a latency-oriented model in the style of
-//!   PORPLE [4]: it scores a placement by summing per-space memory
+//!   PORPLE \[4\]: it scores a placement by summing per-space memory
 //!   latencies weighted by request counts, with no instruction modeling,
 //!   no queuing, and no overlap term. "The model aims to rank
 //!   performance of different data placements instead of predicting
@@ -20,7 +20,7 @@ use crate::analysis::{analyze, TraceAnalysis};
 use crate::profile::Profile;
 use crate::tcomp::effective_throughput;
 
-/// A Sim-et-al.-style [7] predictor.
+/// A Sim-et-al.-style \[7\] predictor.
 #[derive(Debug, Clone)]
 pub struct SimKimModel {
     pub cfg: GpuConfig,

@@ -13,7 +13,7 @@
 //!    are functions of *which arrays sit in shared memory* — never of
 //!    the global/texture/constant choice for the rest. The engine
 //!    therefore performs **one** exact `rewrite` + recorded `analyze`
-//!    per distinct shared set (a [`Skeleton`]) and replays the recorded
+//!    per distinct shared set (a `Skeleton`) and replays the recorded
 //!    event stream for every other candidate sharing it.
 //!
 //! 2. **Per-access outcomes are stateless per `(array, space, base)`.**
@@ -38,7 +38,7 @@
 //!
 //! For branch-and-bound pruning the engine also precomputes a **monotone
 //! lower bound** on the predicted time of any completion of a partial
-//! assignment (see [`Engine::lower_bound`]): a `T_comp` floor from
+//! assignment (see `Engine::lower_bound`): a `T_comp` floor from
 //! placement-invariant issue slots plus per-space stateless-replay and
 //! addressing floors, and a `T_mem` floor from per-space hit-latency
 //! floors — combined through the overlap model's
@@ -941,7 +941,7 @@ impl EngineStatics {
 
 impl<'a> Engine<'a> {
     /// Create an engine over `(predictor, profile)`. The sample-trace
-    /// scan behind it is cached in the profile (see [`EngineStatics`]),
+    /// scan behind it is cached in the profile (see `EngineStatics`),
     /// so repeated construction over the same profile is cheap.
     pub fn new(predictor: &'a Predictor, profile: &'a Profile) -> Self {
         let key = StaticsKey {

@@ -23,7 +23,7 @@
 //! * [`toverlap`] — the trainable linear model of Eq. 11–12;
 //! * [`predictor`] — the full pipeline plus the ablation presets used in
 //!   Figures 7–9;
-//! * [`baselines`] — the comparison models: a Sim-et-al.-style [7]
+//! * [`baselines`] — the comparison models: a Sim-et-al.-style \[7\]
 //!   MWP/CWP model with constant DRAM latency and executed-instruction
 //!   counts, and a PORPLE-style latency-oriented ranking model;
 //! * [`search`] — legal-placement enumeration and model-driven ranking;

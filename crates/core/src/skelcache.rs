@@ -14,7 +14,7 @@
 //! | offset | size | field |
 //! |--------|------|-------|
 //! | 0      | 8    | magic `HMSSKEL1` |
-//! | 8      | 4    | format version ([`FORMAT_VERSION`]) |
+//! | 8      | 4    | format version (`FORMAT_VERSION`) |
 //! | 12     | 8    | kernel hash (trace + config fingerprint) |
 //! | 20     | 8    | payload length in bytes |
 //! | 28     | 8    | FNV-1a-64 checksum of the payload |
@@ -31,7 +31,7 @@
 //! a miss that silently falls back to an in-process rebuild (which
 //! then rewrites the file):
 //!
-//! 1. magic and [`FORMAT_VERSION`] match this binary;
+//! 1. magic and `FORMAT_VERSION` match this binary;
 //! 2. the kernel hash matches the engine's (sample-trace dump + GPU
 //!    config debug string), so a retraced kernel or retuned config
 //!    invalidates every old file;

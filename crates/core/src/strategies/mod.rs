@@ -21,7 +21,7 @@
 //!
 //! which guarantees `optimum ≤ best_found ≤ optimum × (1 + gap)`. The
 //! floors come from the branch-and-bound monotone lower bound
-//! ([`Engine::lower_bound`]), which never exceeds the model's
+//! (`Engine::lower_bound`), which never exceeds the model's
 //! prediction for any completion of a partial assignment:
 //!
 //! * [`beam`] — the minimum bound over every prefix it *dropped* (and

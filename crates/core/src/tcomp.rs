@@ -47,7 +47,7 @@ pub fn effective_throughput(cfg: &GpuConfig, warps_per_sm: f64) -> f64 {
 /// Compute `T_comp` for a target placement.
 ///
 /// `detailed_instr` selects the paper's detailed issued-instruction
-/// counting; when false (the "baseline" of Figure 7 and the [7]-style
+/// counting; when false (the "baseline" of Figure 7 and the \[7\]-style
 /// model), the *sample* placement's executed-instruction count is used
 /// unchanged and replays are ignored.
 pub fn tcomp(

@@ -3,7 +3,7 @@
 //! The paper's queuing model treats each bank as a FIFO server, which is
 //! what [`crate::controller::MemoryController`] implements. Real GDDR5
 //! controllers reorder: **FR-FCFS** (first-ready, first-come-first-served
-//! — Rixner et al., the paper's reference [18]) prioritizes requests that
+//! — Rixner et al., the paper's reference \[18\]) prioritizes requests that
 //! hit the open row, trading fairness for row-buffer locality. This
 //! module provides a batch-scheduling DRAM front end that the simulator
 //! (or a curious user) can run in either policy to quantify how much the

@@ -1,6 +1,6 @@
 //! A TCP client that commits fault scenarios against a live server.
 //!
-//! Each [`FaultKind`](crate::plan::FaultKind) maps to one concrete
+//! Each [`FaultKind`] maps to one concrete
 //! misbehavior on a real socket. The client then *classifies* what it
 //! observed into a [`FaultOutcome`] and checks it against the kind's
 //! documented guarantee. Crucially the client itself never panics on

@@ -168,6 +168,11 @@ pub fn by_name(name: &str, scale: Scale) -> Option<KernelTrace> {
     wide::parse_name(name).map(|n| wide::build_n(n, scale))
 }
 
+/// Whether [`by_name`] resolves `name`, decided without building a trace.
+pub fn is_known(name: &str) -> bool {
+    registry().iter().any(|k| k.name == name) || wide::parse_name(name).is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +226,19 @@ mod tests {
         assert_eq!(wide.arrays.len(), 8);
         assert!(by_name("wide99", Scale::Test).is_none());
         assert!(registry().iter().all(|k| !k.name.starts_with("wide")));
+    }
+
+    #[test]
+    fn is_known_agrees_with_by_name() {
+        let mut names: Vec<String> = registry().iter().map(|k| k.name.to_string()).collect();
+        names.extend((0..15).map(|n| format!("wide{n}")));
+        names.extend(["nope", "", "wide", "wide08", "wide-3", "SPMV", "spmv "].map(String::from));
+        for name in &names {
+            assert_eq!(
+                is_known(name),
+                by_name(name, Scale::Test).is_some(),
+                "`{name}`"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! * `weights[i*OUT + j]` is coalesced across lanes (j = thread), so
 //!   global/texture stream it well, but *constant* memory serializes the
 //!   32 distinct words per access into 31 divergence replays — the
-//!   instruction-replay effect the paper credits for beating [7] on NN_C;
+//!   instruction-replay effect the paper credits for beating \[7\] on NN_C;
 //! * the matrix fills the entire 48 KiB of shared memory, so an `S`
 //!   placement pays a large staging copy *and* caps occupancy at one
 //!   block per SM — the effect PORPLE's latency-only model misses on

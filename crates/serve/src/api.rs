@@ -166,7 +166,7 @@ impl Advisor {
 
     /// The profiled sample placement for `(kernel, scale)` — one
     /// simulation ever per key, then served from the LRU underneath the
-    /// prediction cache.
+    /// response cache.
     pub fn profile(
         &self,
         kt: &KernelTrace,
@@ -348,7 +348,7 @@ impl Advisor {
 }
 
 /// `array name -> space` in array-id order — the placement spelling
-/// every response uses (and the per-tenant cache key building block).
+/// every response uses (and the placement in a predict cache key).
 pub(crate) fn named_placement(kt: &KernelTrace, pm: &PlacementMap) -> PlacementV1 {
     PlacementV1(
         pm.iter()

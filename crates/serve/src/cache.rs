@@ -4,10 +4,11 @@
 //! for different keys rarely contend on the same lock), and each shard
 //! is a classic O(1) LRU: a `HashMap` from key to slot index over an
 //! intrusive doubly-linked recency list in a slab. The server keeps two
-//! instances: the *prediction cache* — `(kernel, scale, placement,
-//! model-options)` → encoded response body — and the *profile cache*
-//! underneath it — `(kernel, scale)` → profiled sample — so a warm
-//! repeat query touches neither the simulator nor the trace rewriter.
+//! kinds of instance: one *response cache* — canonical request (tenant
+//! included) → encoded response body — and, per tenant, the *profile
+//! cache* underneath it — `(kernel, scale)` → profiled sample — so a
+//! warm repeat query touches neither the simulator nor the trace
+//! rewriter.
 //!
 //! Hashing uses `std::collections::hash_map::DefaultHasher` with the
 //! default (fixed) keys, so shard assignment is deterministic within and

@@ -16,21 +16,26 @@
 //!   `compute` runs, so a thundering herd costs one evaluation.
 //!
 //! The [`Ctx`] passed to both stages carries the request's arrival
-//! time, the server deadline, metrics, and the multi-tenant registry;
-//! the per-tenant response caches stay internal to the built-ins.
+//! time, the server deadline, metrics, and the multi-tenant registry.
+//! The built-ins share one response cache keyed by a canonical form of
+//! the parsed request: `poll` looks it up and `compute` re-checks it,
+//! but neither writes it — a response names the entry it fills and the
+//! worker loop stores it once the watchdog can no longer claim the job.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hms_core::SearchStrategy;
 use hms_kernels::Scale;
+use hms_trace::KernelTrace;
+use hms_types::MemorySpace;
 
 use crate::admission::{apply_cap, strategy_cap};
-use crate::api::{Advisor, ApiError, Effort};
+use crate::api::{named_placement, Advisor, ApiError, Effort};
 use crate::http::Request;
 use crate::metrics::Metrics;
-use crate::server::{current_ready_state, PredKey, RankKey, ReadyState, Shared};
-use crate::singleflight::FlightKey;
+use crate::server::{current_ready_state, ReadyState, Shared};
 use crate::wire::v1::{error_body, PredictRequest, RankRequest};
 use crate::wire::{decode, Json};
 
@@ -40,10 +45,10 @@ pub struct Response {
     pub content_type: &'static str,
     /// Shared so an N-way coalesced response is encoded once.
     pub body: Arc<String>,
-    /// May the server memoize this response for byte-identical future
-    /// requests? Only deterministic 200s (and never partial search
-    /// results) say yes.
-    pub cacheable: bool,
+    /// The response-cache entry this body fills, stored by the worker
+    /// loop after the watchdog claim check. Only deterministic 200s
+    /// (never partial or degraded rankings) name one.
+    pub(crate) cache: Option<BodyKey>,
 }
 
 impl Response {
@@ -52,7 +57,7 @@ impl Response {
             status,
             content_type: "application/json",
             body: Arc::new(body.into()),
-            cacheable: false,
+            cache: None,
         }
     }
 
@@ -62,7 +67,7 @@ impl Response {
             status: 200,
             content_type: "application/json",
             body,
-            cacheable: false,
+            cache: None,
         }
     }
 
@@ -71,7 +76,7 @@ impl Response {
             status,
             content_type: "text/plain",
             body: Arc::new(body.into()),
-            cacheable: false,
+            cache: None,
         }
     }
 
@@ -80,11 +85,41 @@ impl Response {
         Response::json(status, error_body(msg))
     }
 
-    /// Mark this response memoizable by the server's raw-request cache.
-    pub fn cacheable(mut self) -> Response {
-        self.cacheable = true;
+    /// Name the response-cache entry this body fills.
+    pub(crate) fn cache_as(mut self, key: BodyKey) -> Response {
+        self.cache = Some(key);
         self
     }
+}
+
+/// The one response-cache key: a parsed request reduced to what can
+/// change its response bytes. Model options and overlap training are
+/// fixed per tenant (a tenant's advisor never changes after spawn), so
+/// the tenant index stands in for them — and keeps two tenants from
+/// ever sharing an entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum BodyKey {
+    /// `GET /v1/kernels` — the registry is tenant-independent.
+    Kernels(Scale),
+    /// `POST /v1/predict`, on the *resolved* placement so `moves` and
+    /// an equivalent `placement` object share an entry.
+    Predict {
+        tenant: usize,
+        kernel: String,
+        scale: Scale,
+        placement: Vec<(String, MemorySpace)>,
+    },
+    /// `POST /v1/advise` (no stats block) and `POST /v1/search`. The
+    /// strategy is the resolved one, knobs included; threads stay out
+    /// because rankings are thread-invariant.
+    Rank {
+        tenant: usize,
+        kernel: String,
+        scale: Scale,
+        top: usize,
+        strategy: SearchStrategy,
+        include_stats: bool,
+    },
 }
 
 /// What [`Handler::poll`] decided.
@@ -183,18 +218,9 @@ impl Ctx<'_> {
         }
     }
 
-    /// Raw-request memo: a byte-identical request seen before answers
-    /// with the memoized body without even parsing its JSON.
-    fn raw_get(&self, req: &Request) -> Option<Arc<String>> {
-        self.shared
-            .raw_cache
-            .get(&FlightKey::new(&req.target, &req.body))
-    }
-
-    fn raw_put(&self, req: &Request, body: &Arc<String>) {
-        self.shared
-            .raw_cache
-            .insert(FlightKey::new(&req.target, &req.body), Arc::clone(body));
+    /// The cached response body for `key`, if any.
+    fn cached(&self, key: &BodyKey) -> Option<Arc<String>> {
+        self.shared.cache.get(key)
     }
 }
 
@@ -226,6 +252,12 @@ fn api_error(e: ApiError) -> Response {
         ApiError::Model(_) => 500,
     };
     Response::error(status, &e.to_string())
+}
+
+/// The 404 a worker would answer for a kernel name nothing can build,
+/// decided from the name alone so it spends no quota or worker slot.
+fn unknown_kernel(name: &str) -> Option<Response> {
+    (!hms_kernels::is_known(name)).then(|| api_error(ApiError::UnknownKernel(name.to_string())))
 }
 
 /// Parse `?scale=` (default full) for `GET /v1/kernels`.
@@ -308,7 +340,7 @@ impl Handler for MetricsEndpoint {
             status: 200,
             content_type: "text/plain; version=0.0.4",
             body: Arc::new(ctx.metrics().render()),
-            cacheable: false,
+            cache: None,
         })
     }
 }
@@ -319,10 +351,11 @@ pub(crate) struct Kernels;
 
 impl Handler for Kernels {
     fn poll(&self, ctx: &Ctx<'_>, req: &Request) -> Outcome {
-        if let Err(e) = query_scale(req) {
-            return Outcome::Ready(Response::error(400, &e));
-        }
-        match ctx.raw_get(req) {
+        let scale = match query_scale(req) {
+            Ok(s) => s,
+            Err(e) => return Outcome::Ready(Response::error(400, &e)),
+        };
+        match ctx.cached(&BodyKey::Kernels(scale)) {
             Some(body) => Outcome::Ready(Response::json_shared(body)),
             None => Outcome::Compute { coalesce: true },
         }
@@ -335,7 +368,8 @@ impl Handler for Kernels {
         };
         // The kernel registry is tenant-independent; the default
         // advisor's view is everyone's view.
-        Response::json(200, ctx.advisor(0).kernels_body(scale).encode_pretty()).cacheable()
+        Response::json(200, ctx.advisor(0).kernels_body(scale).encode_pretty())
+            .cache_as(BodyKey::Kernels(scale))
     }
 }
 
@@ -352,6 +386,22 @@ impl Predict {
             .map_err(|e| Response::error(400, &e))?;
         Ok((q, tenant))
     }
+
+    /// The cache key, on the placement resolved against `kt`'s arrays.
+    fn key(
+        advisor: &Advisor,
+        tenant: usize,
+        q: &PredictRequest,
+        kt: &KernelTrace,
+    ) -> Result<BodyKey, ApiError> {
+        let resolved = advisor.resolve_placement(kt, &q.moves)?;
+        Ok(BodyKey::Predict {
+            tenant,
+            kernel: q.kernel.clone(),
+            scale: q.scale,
+            placement: named_placement(kt, &resolved).0,
+        })
+    }
 }
 
 impl Handler for Predict {
@@ -359,29 +409,26 @@ impl Handler for Predict {
         if let Err(resp) = ctx.check_deadline() {
             return Outcome::Ready(resp);
         }
-        let m = ctx.metrics();
-        if let Some(body) = ctx.raw_get(req) {
-            m.prediction_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Outcome::Ready(Response::json_shared(body));
-        }
         let (q, tenant) = match self.query(ctx, req) {
             Ok(parts) => parts,
             Err(resp) => return Outcome::Ready(resp),
         };
-        // Semantic fast path — only when the kernel trace is already
-        // built (a cold build is worker-pool work).
-        let t = ctx.shared.tenant(tenant);
-        if let Some(kt) = t.advisor.cached_kernel(&q.kernel, q.scale) {
-            let resolved = match t.advisor.resolve_placement(&kt, &q.moves) {
-                Ok(r) => r,
+        // The key needs the kernel trace, and a cold trace build is
+        // worker-pool work: only an already-built trace is looked up.
+        let advisor = ctx.advisor(tenant);
+        if let Some(kt) = advisor.cached_kernel(&q.kernel, q.scale) {
+            let key = match Self::key(advisor, tenant, &q, &kt) {
+                Ok(key) => key,
                 Err(e) => return Outcome::Ready(api_error(e)),
             };
-            let key = PredKey::new(&t.advisor, &q, &kt, &resolved);
-            if let Some(body) = t.pred_cache.get(&key) {
-                m.prediction_cache_hits.fetch_add(1, Ordering::Relaxed);
-                ctx.raw_put(req, &body);
+            if let Some(body) = ctx.cached(&key) {
+                ctx.metrics()
+                    .prediction_cache_hits
+                    .fetch_add(1, Ordering::Relaxed);
                 return Outcome::Ready(Response::json_shared(body));
             }
+        } else if let Some(resp) = unknown_kernel(&q.kernel) {
+            return Outcome::Ready(resp);
         }
         // Only cold requests (the ones that cost model work) consume
         // quota; warm cache hits above stay free.
@@ -410,37 +457,33 @@ impl Predict {
     /// the tenant's breaker with whatever this returns.
     fn compute_for(&self, ctx: &Ctx<'_>, q: &PredictRequest, tenant: usize) -> Response {
         let m = ctx.metrics();
-        let t = ctx.shared.tenant(tenant);
-        let kt = match t.advisor.kernel(&q.kernel, q.scale) {
-            Ok(kt) => kt,
+        let advisor = ctx.advisor(tenant);
+        let key = match advisor
+            .kernel(&q.kernel, q.scale)
+            .and_then(|kt| Self::key(advisor, tenant, q, &kt))
+        {
+            Ok(key) => key,
             Err(e) => return api_error(e),
         };
-        let resolved = match t.advisor.resolve_placement(&kt, &q.moves) {
-            Ok(r) => r,
-            Err(e) => return api_error(e),
-        };
-        let key = PredKey::new(&t.advisor, q, &kt, &resolved);
         // The coalescing window only covers byte-identical requests; an
         // equivalent spelling (`moves` vs `placement`) may have filled
-        // the semantic cache since `poll` looked.
-        if let Some(body) = t.pred_cache.get(&key) {
+        // the cache since `poll` looked.
+        if let Some(body) = ctx.cached(&key) {
             m.prediction_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Response::json_shared(body).cacheable();
+            return Response::json_shared(body);
         }
         m.prediction_cache_misses.fetch_add(1, Ordering::Relaxed);
         if let Err(resp) = ctx.check_deadline() {
             return resp;
         }
         let mut effort = Effort::default();
-        let (body, _pred) = match t.advisor.predict(q, &mut effort) {
+        let (body, _pred) = match advisor.predict(q, &mut effort) {
             Ok(out) => out,
             Err(e) => return api_error(e),
         };
         count_effort(m, &effort);
         m.predictions_computed.fetch_add(1, Ordering::Relaxed);
-        let body = Arc::new(body.encode_pretty());
-        t.pred_cache.insert(key, Arc::clone(&body));
-        Response::json_shared(body).cacheable()
+        Response::json(200, body.encode_pretty()).cache_as(key)
     }
 }
 
@@ -460,19 +503,22 @@ impl Rank {
         Ok((q, tenant))
     }
 
-    fn key(&self, advisor: &Advisor, q: &RankRequest) -> RankKey {
-        RankKey {
+    /// The requested strategy. Infallible here: `query()` already
+    /// parsed the request, and parsing rejects every unresolvable
+    /// strategy combination.
+    fn strategy(q: &RankRequest) -> SearchStrategy {
+        q.resolve_strategy()
+            .expect("strategy validated at the parse edge")
+    }
+
+    fn key(&self, tenant: usize, q: &RankRequest) -> BodyKey {
+        BodyKey::Rank {
+            tenant,
             kernel: q.kernel.clone(),
             scale: q.scale,
             top: q.top,
-            // Infallible here: `query()` already parsed the request, and
-            // parsing rejects every unresolvable strategy combination.
-            strategy: q
-                .resolve_strategy()
-                .expect("strategy validated at the parse edge"),
+            strategy: Self::strategy(q),
             include_stats: self.search,
-            options: advisor.predictor.options,
-            trained: advisor.predictor.overlap.is_trained(),
         }
     }
 }
@@ -482,20 +528,18 @@ impl Handler for Rank {
         if let Err(resp) = ctx.check_deadline() {
             return Outcome::Ready(resp);
         }
-        let m = ctx.metrics();
-        if let Some(body) = ctx.raw_get(req) {
-            m.search_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Outcome::Ready(Response::json_shared(body));
-        }
         let (q, tenant) = match self.query(ctx, req) {
             Ok(parts) => parts,
             Err(resp) => return Outcome::Ready(resp),
         };
-        let t = ctx.shared.tenant(tenant);
-        if let Some(body) = t.rank_cache.get(&self.key(&t.advisor, &q)) {
-            m.search_cache_hits.fetch_add(1, Ordering::Relaxed);
-            ctx.raw_put(req, &body);
+        if let Some(body) = ctx.cached(&self.key(tenant, &q)) {
+            ctx.metrics()
+                .search_cache_hits
+                .fetch_add(1, Ordering::Relaxed);
             return Outcome::Ready(Response::json_shared(body));
+        }
+        if let Some(resp) = unknown_kernel(&q.kernel) {
+            return Outcome::Ready(resp);
         }
         // Only cold requests (the ones that run the engine) consume
         // quota; warm cache hits above stay free.
@@ -529,11 +573,10 @@ impl Rank {
     /// deterministic — and are never cached.
     fn compute_for(&self, ctx: &Ctx<'_>, q: &RankRequest, tenant: usize) -> Response {
         let m = ctx.metrics();
-        let t = ctx.shared.tenant(tenant);
-        let key = self.key(&t.advisor, q);
-        if let Some(body) = t.rank_cache.get(&key) {
+        let key = self.key(tenant, q);
+        if let Some(body) = ctx.cached(&key) {
             m.search_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Response::json_shared(body).cacheable();
+            return Response::json_shared(body);
         }
         m.search_cache_misses.fetch_add(1, Ordering::Relaxed);
         if let Err(resp) = ctx.check_deadline() {
@@ -550,8 +593,8 @@ impl Rank {
         let deadline = Some(ctx.arrived + budget);
         let remaining = budget.saturating_sub(ctx.arrived.elapsed());
         let level = ctx.shared.ladder_level(tenant, Some(remaining));
-        let (effective, degraded) = apply_cap(key.strategy, strategy_cap(level));
-        let (body, outcome) = match t.advisor.rank_capped(
+        let (effective, degraded) = apply_cap(Self::strategy(q), strategy_cap(level));
+        let (body, outcome) = match ctx.advisor(tenant).rank_capped(
             q,
             self.search,
             deadline,
@@ -567,15 +610,14 @@ impl Rank {
         if degraded {
             m.degraded_responses.fetch_add(1, Ordering::Relaxed);
         }
-        let body = Arc::new(body.encode_pretty());
+        let resp = Response::json(200, body.encode_pretty());
         // Partial or degraded rankings reflect this request's pressure,
         // not the query — caching either would pin an approximation as
         // the answer forever.
         if !outcome.partial && !degraded {
-            t.rank_cache.insert(key, Arc::clone(&body));
-            Response::json_shared(body).cacheable()
+            resp.cache_as(key)
         } else {
-            Response::json_shared(body)
+            resp
         }
     }
 }

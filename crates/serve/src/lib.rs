@@ -20,8 +20,8 @@
 //! Everything is built from `std::net` + `std::thread` + a `poll(2)`
 //! binding ([`poller`] — std already links libc): a hand-rolled
 //! escaping-correct JSON codec ([`wire`]), an HTTP/1.1 reader/writer
-//! with strict limits ([`http`]), a sharded LRU ([`cache`]) keying
-//! response bodies by `(kernel, scale, placement, model options)`,
+//! with strict limits ([`http`]), one sharded LRU ([`cache`]) of
+//! response bodies keyed by the parsed request and its tenant,
 //! sharded event loops feeding a bounded worker pool through two-stage
 //! [`Handler`]s ([`server`], [`handlers`]), single-flight coalescing
 //! of concurrent identical requests ([`singleflight`]), a multi-tenant

@@ -5,8 +5,8 @@
 //! placement queries for many hardware configurations — a K80 fleet
 //! here, a C2050 island there. Each named entry ("tenant") owns a full
 //! [`Advisor`] (machine config, predictor, kernel/profile caches), and
-//! the server layers a *separate* response cache per tenant on top, so
-//! tenants can never observe each other's cached bytes. Requests pick
+//! the tenant's index is part of every response-cache key, so tenants
+//! can never observe each other's cached bytes. Requests pick
 //! a tenant with the optional `config` wire member; its absence selects
 //! the default entry (index 0), keeping every pre-registry client and
 //! response byte-identical.

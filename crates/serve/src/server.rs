@@ -18,10 +18,13 @@
 //!   leader's response ([`crate::singleflight`]). A thundering herd of
 //!   N identical searches costs one engine run, visible as
 //!   `hms_coalesced_requests_total`;
+//! * **one response cache** — a sharded LRU of encoded bodies keyed by
+//!   the parsed request's canonical form; the worker loop is its only
+//!   writer, after the watchdog claim check;
 //! * **multi-tenant registry** — requests carry an optional `config`
 //!   member naming a GPU configuration ([`crate::registry`]); each
-//!   tenant gets its own advisor and response caches, so two tenants
-//!   can never serve each other's bytes;
+//!   tenant gets its own advisor, and the tenant is part of every
+//!   cache key, so two tenants can never serve each other's bytes;
 //! * **deadlines** — per-request (`504` before any model stage that
 //!   would finish past the deadline) and cumulative read
 //!   (slowloris peers answered `408` by the loop's sweep);
@@ -41,22 +44,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use hms_core::{ModelOptions, SearchStrategy};
-use hms_kernels::Scale;
-use hms_trace::KernelTrace;
-use hms_types::{MemorySpace, PlacementMap};
-
 use crate::admission::{degradation_level, BreakerState, CircuitBreaker, TokenBucket};
-use crate::api::{named_placement, Advisor};
 use crate::cache::ShardedLru;
 use crate::conn::{Conn, FillResult};
-use crate::handlers::{self, Ctx, Handler, Outcome, Response};
+use crate::handlers::{self, BodyKey, Ctx, Handler, Outcome, Response};
 use crate::http::{write_response, HttpError, Request};
 use crate::metrics::{Metrics, Route};
 use crate::poller::{Interest, Poller, Waker};
 use crate::registry::ConfigRegistry;
 use crate::singleflight::{FlightKey, FlightTable, Join};
-use crate::wire::v1::{error_body, PredictRequest};
+use crate::wire::v1::error_body;
 
 /// How the event loops pace themselves when nothing is ready: the tick
 /// bounds slowloris-sweep granularity and shutdown latency.
@@ -84,7 +81,6 @@ pub struct ServerConfig {
     deadline: Duration,
     queue_depth: usize,
     read_deadline: Duration,
-    coalescing: bool,
     quota: Option<(u64, u64)>,
     breaker_failures: u32,
     breaker_cooldown: Duration,
@@ -103,7 +99,6 @@ impl Default for ServerConfig {
             deadline: Duration::from_millis(10_000),
             queue_depth: 128,
             read_deadline: Duration::from_millis(10_000),
-            coalescing: true,
             quota: None,
             breaker_failures: 5,
             breaker_cooldown: Duration::from_millis(500),
@@ -140,7 +135,8 @@ impl ServerConfig {
         self
     }
 
-    /// Total response-cache entries, split across tenants.
+    /// Response bodies the server caches at most, all routes and
+    /// tenants together (at least 1).
     pub fn cache_entries(mut self, n: usize) -> Self {
         self.cache_entries = n;
         self
@@ -165,13 +161,6 @@ impl ServerConfig {
     /// connection closed (slowloris defense).
     pub fn read_deadline(mut self, d: Duration) -> Self {
         self.read_deadline = d;
-        self
-    }
-
-    /// Single-flight coalescing of identical concurrent cold requests
-    /// (on by default; off makes every request compute independently).
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.coalescing = on;
         self
     }
 
@@ -245,15 +234,6 @@ impl ServerConfig {
         } else {
             self.shards
         };
-        let n_tenants = registry.len();
-        let per_cache = (self.cache_entries.max(2) / (2 * n_tenants)).max(2);
-        let tenants: Vec<Tenant> = (0..n_tenants)
-            .map(|i| Tenant {
-                advisor: Arc::clone(registry.advisor(i)),
-                pred_cache: ShardedLru::new(per_cache, 8),
-                rank_cache: ShardedLru::new(per_cache, 8),
-            })
-            .collect();
         let mut inboxes = Vec::with_capacity(shards);
         for _ in 0..shards {
             inboxes.push(Inbox {
@@ -261,7 +241,7 @@ impl ServerConfig {
                 waker: Waker::new()?,
             });
         }
-        let admission: Vec<TenantAdmission> = (0..n_tenants)
+        let admission: Vec<TenantAdmission> = (0..registry.len())
             .map(|_| TenantAdmission {
                 bucket: self
                     .quota
@@ -269,16 +249,17 @@ impl ServerConfig {
                 breaker: CircuitBreaker::new(self.breaker_failures, self.breaker_cooldown),
             })
             .collect();
+        // No more shards than entries, so the shards' equal slices sum
+        // to at most `cache_entries`.
+        let entries = self.cache_entries.max(1);
         let shared = Arc::new(Shared {
             registry,
-            tenants,
             metrics: Arc::new(Metrics::new()),
-            raw_cache: ShardedLru::new(self.cache_entries.max(2), 8),
+            cache: ShardedLru::new(entries, entries.min(8)),
             jobs: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             jobs_pending: AtomicU64::new(0),
             flights: FlightTable::new(),
-            coalescing: self.coalescing,
             shutdown: AtomicBool::new(false),
             deadline: self.deadline,
             read_deadline: self.read_deadline,
@@ -387,61 +368,6 @@ pub fn ready_state(shutdown: bool, queue_len: usize, queue_depth: usize) -> Read
     } else {
         ReadyState::Ready
     }
-}
-
-/// Prediction-cache key: everything that can change the response bytes
-/// (the tenant is implied — each tenant has its own cache).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct PredKey {
-    kernel: String,
-    scale: Scale,
-    placement: Vec<(String, MemorySpace)>,
-    options: ModelOptions,
-    trained: bool,
-}
-
-impl PredKey {
-    /// Key on the *resolved* placement so `moves` and an equivalent
-    /// `placement` object hit the same entry.
-    pub(crate) fn new(
-        advisor: &Advisor,
-        q: &PredictRequest,
-        kt: &KernelTrace,
-        resolved: &PlacementMap,
-    ) -> PredKey {
-        PredKey {
-            kernel: q.kernel.clone(),
-            scale: q.scale,
-            placement: named_placement(kt, resolved).0,
-            options: advisor.predictor.options,
-            trained: advisor.predictor.overlap.is_trained(),
-        }
-    }
-}
-
-/// Search-cache key: the full rank query plus which endpoint shape
-/// (advise has no stats block) — threads excluded, results are
-/// thread-invariant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct RankKey {
-    pub(crate) kernel: String,
-    pub(crate) scale: Scale,
-    pub(crate) top: usize,
-    /// The *resolved* strategy, knobs included (beam width, local-search
-    /// seed) — resolution happens at the parse edge, so an invalid combo
-    /// 400s before it can ever touch this key.
-    pub(crate) strategy: SearchStrategy,
-    pub(crate) include_stats: bool,
-    pub(crate) options: ModelOptions,
-    pub(crate) trained: bool,
-}
-
-/// One tenant: an advisor plus its private response caches. Cache keys
-/// never cross tenants because the caches themselves don't.
-pub(crate) struct Tenant {
-    pub(crate) advisor: Arc<Advisor>,
-    pub(crate) pred_cache: ShardedLru<PredKey, Arc<String>>,
-    pub(crate) rank_cache: ShardedLru<RankKey, Arc<String>>,
 }
 
 /// Who gets a completed job's response, and where they're parked.
@@ -633,26 +559,23 @@ impl Watchdog {
 /// Everything the shards, workers, and handle share.
 pub(crate) struct Shared {
     pub(crate) registry: ConfigRegistry,
-    pub(crate) tenants: Vec<Tenant>,
     pub(crate) metrics: Arc<Metrics>,
-    /// Whole-request memo: exact `(target, body)` bytes → response
-    /// body, for deterministic 200s. The warmest possible fast path —
-    /// no JSON parse, no placement resolution.
-    pub(crate) raw_cache: ShardedLru<FlightKey, Arc<String>>,
+    /// The response cache: canonical request → encoded body. Handlers
+    /// read it; only [`worker_loop`] writes it.
+    pub(crate) cache: ShardedLru<BodyKey, Arc<String>>,
     jobs: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     /// Mirror of the job-queue length, readable without the lock (the
     /// accept path's shed check and `/readyz`).
     jobs_pending: AtomicU64,
     flights: FlightTable<Waiter>,
-    coalescing: bool,
     shutdown: AtomicBool,
     pub(crate) deadline: Duration,
     read_deadline: Duration,
     queue_depth: usize,
     inboxes: Vec<Inbox>,
     router: Router,
-    /// Per-tenant admission state, parallel to `tenants`.
+    /// Per-tenant admission state, indexed like the registry.
     pub(crate) admission: Vec<TenantAdmission>,
     /// Injected forward skew on the deadline clock, in milliseconds —
     /// the chaos suite's clock-skew fault. Skew eats deadline budget
@@ -665,10 +588,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn tenant(&self, idx: usize) -> &Tenant {
-        &self.tenants[idx]
-    }
-
     /// How far ahead the (possibly skewed) deadline clock runs.
     pub(crate) fn skew_ahead(&self) -> Duration {
         Duration::from_millis(self.skew_millis.load(Ordering::Relaxed))
@@ -875,8 +794,8 @@ fn deliver(shared: &Shared, key: Option<&FlightKey>, waiter: &Waiter, resp: &Res
     }
 }
 
-/// Worker: drain cold jobs, run the handler's compute stage, fan the
-/// response out to every coalesced waiter.
+/// Worker: drain cold jobs, run the handler's compute stage, store a
+/// cacheable response, fan it out to every coalesced waiter.
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let job = {
@@ -919,7 +838,7 @@ fn worker_loop(shared: Arc<Shared>) {
         // A panicking handler answers 500 and the server keeps serving;
         // the shared state it can reach is all panic-tolerant (atomics,
         // poison-recovering locks).
-        let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             job.handler.compute(&ctx, &job.req)
         }))
         .unwrap_or_else(|_| Response::error(500, "internal error: handler panicked"));
@@ -931,14 +850,12 @@ fn worker_loop(shared: Arc<Shared>) {
         {
             // The watchdog already force-claimed this slot and answered
             // its waiters 504; the late result is dropped uncached so a
-            // stall can never poison a memo.
+            // stall can never poison the cache.
             continue;
         }
-        if resp.cacheable {
-            shared.raw_cache.insert(
-                FlightKey::new(&job.req.target, &job.req.body),
-                Arc::clone(&resp.body),
-            );
+        // The response cache's one write site.
+        if let Some(key) = resp.cache.take() {
+            shared.cache.insert(key, Arc::clone(&resp.body));
         }
         deliver(&shared, job.key.as_ref(), &job.waiter, &resp);
     }
@@ -1312,8 +1229,7 @@ fn handle_request(
                         arrived,
                     };
                     conn.busy = true;
-                    let key = (coalesce && shared.coalescing)
-                        .then(|| FlightKey::new(&req.target, &req.body));
+                    let key = coalesce.then(|| FlightKey::new(&req.target, &req.body));
                     let leads = match &key {
                         Some(k) => matches!(shared.flights.join(k, waiter.clone()), Join::Lead),
                         None => true,
@@ -1360,5 +1276,117 @@ fn handle_request(
                 close,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    use std::sync::mpsc;
+
+    use hms_core::Predictor;
+    use hms_kernels::Scale;
+    use hms_types::GpuConfig;
+
+    use crate::api::Advisor;
+
+    fn registry() -> ConfigRegistry {
+        let cfg = GpuConfig::test_small();
+        ConfigRegistry::new("default", Advisor::new(cfg.clone(), Predictor::new(cfg)))
+    }
+
+    /// POST `body` on a fresh connection; the response's status code.
+    fn post(addr: SocketAddr, path: &str, body: &str) -> u16 {
+        let mut s = TcpStream::connect(addr).expect("connects");
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        write!(
+            s,
+            "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).unwrap();
+        reply[9..12].parse().expect("status line")
+    }
+
+    #[test]
+    fn cache_entries_bounds_the_bodies_held() {
+        const N: usize = 4;
+        let h = ServerConfig::new()
+            .workers(1)
+            .cache_entries(N)
+            .spawn(registry())
+            .expect("binds");
+        // Three times N distinct cacheable answers, over every cached
+        // endpoint shape: searches and advises differing in `top`, and
+        // predicts of different placements.
+        let mut requests = Vec::new();
+        for top in 1..=N {
+            let q = format!(r#"{{"kernel":"vecadd","scale":"test","top":{top}}}"#);
+            requests.push(("/v1/search", q.clone()));
+            requests.push(("/v1/advise", q));
+        }
+        for (a, b) in [("T", "G"), ("G", "T"), ("T", "T"), ("C", "G")] {
+            let q = format!(
+                r#"{{"kernel":"vecadd","scale":"test","placement":{{"a":"{a}","b":"{b}"}}}}"#
+            );
+            requests.push(("/v1/predict", q));
+        }
+        assert!(requests.len() > 2 * N);
+        for (path, body) in &requests {
+            assert_eq!(post(h.addr(), path, body), 200, "{path} {body}");
+            let held = h.shared.cache.len();
+            assert!(held <= N, "{held} bodies cached with cache_entries({N})");
+        }
+        assert!(!h.shared.cache.is_empty());
+        h.shutdown();
+    }
+
+    /// A cacheable handler whose compute wedges until released.
+    struct Wedged {
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Handler for Wedged {
+        fn poll(&self, _ctx: &Ctx<'_>, _req: &Request) -> Outcome {
+            Outcome::Compute { coalesce: true }
+        }
+
+        fn compute(&self, _ctx: &Ctx<'_>, _req: &Request) -> Response {
+            let _ = self.release.lock().unwrap().recv();
+            Response::json(200, "{}").cache_as(BodyKey::Kernels(Scale::Test))
+        }
+    }
+
+    #[test]
+    fn a_force_claimed_result_is_dropped_uncached() {
+        let (release, rx) = mpsc::channel();
+        let h = ServerConfig::new()
+            .workers(1)
+            .stall_timeout(Duration::from_millis(20))
+            .watchdog_interval(Duration::from_millis(5))
+            .route(
+                "POST",
+                "/wedged",
+                Arc::new(Wedged {
+                    release: Mutex::new(rx),
+                }),
+            )
+            .spawn(registry())
+            .expect("binds");
+        // The watchdog force-claims the wedged slot and answers 504.
+        assert_eq!(post(h.addr(), "/wedged", ""), 504);
+        // Un-wedge the worker; shutdown joins it, so by then it has
+        // lost the claim and dropped its late result.
+        release.send(()).unwrap();
+        let shared = Arc::clone(&h.shared);
+        h.shutdown();
+        assert!(
+            shared.cache.is_empty(),
+            "a stalled result reached the cache"
+        );
     }
 }

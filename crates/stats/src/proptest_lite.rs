@@ -5,7 +5,7 @@
 //! those suites worth having:
 //!
 //! 1. **seeded case generation** — every case draws its input from a
-//!    [`Rng`](crate::rng::Rng) seeded by `SplitMix64(base_seed, index)`,
+//!    [`Rng`] seeded by `SplitMix64(base_seed, index)`,
 //!    so a failing case is reproducible from its printed seed alone, no
 //!    persistence files needed;
 //! 2. **shrinking by bisection** — on failure the harness asks the

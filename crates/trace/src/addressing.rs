@@ -19,7 +19,7 @@
 //!   compiler's magic-number sequence is amortized; a native 2-D kernel
 //!   index costs nothing — we charge the conservative one instruction).
 //!
-//! The paper "enumerate[s] and analyze[s] common data types
+//! The paper "enumerate\[s\] and analyze\[s\] common data types
 //! (double-precision floating point and integer)": wider elements change
 //! only the scale factor, which stays a single instruction, so the table
 //! is type-independent except for the global path, which still needs its

@@ -484,7 +484,7 @@ impl<'t> ColumnarTrace<'t> {
     }
 
     /// Re-encode one op as a [`CInstr`] (the inverse of
-    /// [`Self::push_instr`]; exact, including inactive-lane positions).
+    /// `Self::push_instr`; exact, including inactive-lane positions).
     pub fn op_to_instr(&self, i: u32) -> CInstr {
         match self.op(i) {
             OpView::Alu { kind, count } => CInstr::Alu { kind, count },

@@ -118,7 +118,7 @@ pub fn local_addr(slot: u32, tid: u64, total_threads: u64) -> u64 {
 ///
 /// Public because the incremental search engine re-lays individual
 /// accesses out under candidate spaces without rebuilding whole traces;
-/// [`crate::rewrite`] uses the same function, so the two paths agree by
+/// [`crate::rewrite()`] uses the same function, so the two paths agree by
 /// construction.
 pub fn element_offset(array: &ArrayDef, space: MemorySpace, idx: ElemIdx, cfg: &GpuConfig) -> u64 {
     let esize = array.dtype.size_bytes();

@@ -16,10 +16,10 @@
 //! * [`concrete`] — materialization of a symbolic trace under one
 //!   placement into per-warp instruction streams with byte addresses (the
 //!   simulator's input, standing in for a SASSI trace);
-//! * [`rewrite`] — the sample→target trace transformation that works only
+//! * [`rewrite`](mod@rewrite) — the sample→target trace transformation that works only
 //!   from the *concrete* sample trace plus array metadata, exactly like
 //!   the paper's framework;
-//! * [`coalesce`] — warp-level address coalescing into memory
+//! * [`coalesce`](mod@coalesce) — warp-level address coalescing into memory
 //!   transactions, including the global address-divergence replay count
 //!   (replay cause (1)).
 

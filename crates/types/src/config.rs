@@ -83,13 +83,13 @@ pub struct GpuConfig {
     /// Core clock in GHz (K80 base: 562 MHz).
     pub core_clock_ghz: f64,
     /// Average arithmetic instruction latency in cycles (the paper follows
-    /// [7] in using the FP-op latency as the average instruction latency).
+    /// \[7\] in using the FP-op latency as the average instruction latency).
     pub avg_inst_lat: u64,
     /// Warp-local instruction-level parallelism: the average number of
     /// independent instructions a warp can issue before stalling on a
     /// result (the `ILP` of the paper's Eq. 14). The simulator uses it to
     /// pace per-warp issue; the models use the same value, keeping the
-    /// two sides consistent the way the paper calibrates [7]'s model to
+    /// two sides consistent the way the paper calibrates \[7\]'s model to
     /// its hardware.
     pub warp_ilp: f64,
 

@@ -22,6 +22,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# Every rustdoc warning fails this step too: a doc link to a renamed,
+# deleted or private item, or an unescaped citation like `\[7\]`.
+echo "==> cargo doc --no-deps --workspace (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
+
 # Arithmetic that only misbehaves when it wraps must fail loudly: rerun
 # the numeric crates' tests with overflow checks forced on (release
 # builds default them off).

@@ -26,7 +26,7 @@
 //! * [`serve`] — the placement-advisory HTTP server (std-only):
 //!   event-driven readiness loops over `poll(2)`, single-flight
 //!   coalescing, a multi-tenant GPU-config registry, JSON wire codec,
-//!   sharded prediction cache, Prometheus metrics (`hms serve`);
+//!   one sharded response cache, Prometheus metrics (`hms serve`);
 //! * [`faults`] — seed-replayable deterministic fault injection
 //!   (slowloris, truncation, resets, adversarial JSON corpus) used by
 //!   the chaos suite and the serving benchmark.

@@ -482,6 +482,11 @@ fn quota_exhaustion_is_a_429_and_cache_hits_stay_free() {
         .expect("binds");
     let mut p = Client::connect(h.addr(), READ_TIMEOUT);
 
+    // An unknown kernel is a 404 that costs no model work, so it spends
+    // no token either.
+    let Reply { status, body } = p.post("/v1/search", r#"{"kernel":"ghost","scale":"test"}"#);
+    assert_eq!(status, 404, "{body}");
+
     let first = r#"{"kernel":"vecadd","scale":"test","top":1}"#;
     let Reply { status, body } = p.post("/v1/search", first);
     assert_eq!(status, 200, "{body}");
@@ -494,7 +499,7 @@ fn quota_exhaustion_is_a_429_and_cache_hits_stay_free() {
         "expected quota rejection, got {status}: {body}"
     );
 
-    // The first query again: a rank-cache hit, served without a token.
+    // The first query again: a cache hit, served without a token.
     let Reply { status, .. } = p.post("/v1/search", first);
     assert_eq!(status, 200, "cache hits must not consume quota");
 

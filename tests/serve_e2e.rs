@@ -56,12 +56,22 @@ fn healthz_kernels_and_not_found() {
         r.body
     );
     assert!(r.body.contains("\"scale\": \"test\""));
-    // A repeat is answered from the raw-request memo: the same bytes,
-    // and no new single-flight computation.
+    let full = c.get("/v1/kernels");
+    assert_eq!(full.status, 200);
+    assert!(full.body.contains("\"scale\": \"full\""));
+    // A repeat is answered from the response cache: the same bytes, and
+    // no new single-flight computation. The key is the parsed scale, so
+    // other spellings of the same query hit it too.
     let leaders = counter(&mut c, "hms_singleflight_leaders_total");
-    let again = c.get("/v1/kernels?scale=test");
-    assert_eq!(again.status, 200);
-    assert_eq!(again.body, r.body, "memoized kernels body diverged");
+    for (target, first) in [
+        ("/v1/kernels?scale=test", &r),
+        ("/v1/kernels?scale=test&x=1", &r),
+        ("/v1/kernels?scale=full", &full),
+    ] {
+        let again = c.get(target);
+        assert_eq!(again.status, 200);
+        assert_eq!(again.body, first.body, "cached body diverged for {target}");
+    }
     assert_eq!(
         counter(&mut c, "hms_singleflight_leaders_total"),
         leaders,
@@ -122,15 +132,20 @@ fn search_warm_cache_skips_engine_work() {
     let evaluated = counter(&mut c, "hms_engine_candidates_evaluated_total");
     assert!(evaluated > 0.0);
 
-    let r2 = c.post("/v1/search", body);
-    assert_eq!(r2.status, 200);
-    assert_eq!(r1.body, r2.body);
-    assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), 1.0);
-    // Engine counters flat: the repeat ran no rewrites, no evaluation.
-    assert_eq!(
-        counter(&mut c, "hms_engine_candidates_evaluated_total"),
-        evaluated
-    );
+    // A byte-identical repeat and a member-reordered spelling of the
+    // same query both hit: the cache key is the parsed request.
+    let reordered = r#"{"top":3,"scale":"test","kernel":"vecadd"}"#;
+    for (hits, repeat) in [(1.0, body), (2.0, reordered)] {
+        let r2 = c.post("/v1/search", repeat);
+        assert_eq!(r2.status, 200);
+        assert_eq!(r1.body, r2.body);
+        assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), hits);
+        // Engine counters flat: the repeat ran no rewrites, no evaluation.
+        assert_eq!(
+            counter(&mut c, "hms_engine_candidates_evaluated_total"),
+            evaluated
+        );
+    }
 
     // Advise shares the ranking path but not the search cache entry
     // (no stats block), and never accepts search knobs.
@@ -263,11 +278,14 @@ fn graceful_shutdown_closes_the_port() {
 struct SlowEcho {
     computes: Arc<AtomicU64>,
     park: Duration,
+    coalesce: bool,
 }
 
 impl Handler for SlowEcho {
     fn poll(&self, _ctx: &Ctx<'_>, _req: &gpu_hms::serve::http::Request) -> Outcome {
-        Outcome::Compute { coalesce: true }
+        Outcome::Compute {
+            coalesce: self.coalesce,
+        }
     }
 
     fn compute(&self, _ctx: &Ctx<'_>, req: &gpu_hms::serve::http::Request) -> HandlerResponse {
@@ -287,6 +305,7 @@ fn single_flight_coalesces_concurrent_identical_requests() {
     let handler = Arc::new(SlowEcho {
         computes: Arc::clone(&computes),
         park: Duration::from_millis(600),
+        coalesce: true,
     });
     let h = test_server(|c| c.route("POST", "/v1/slow", handler));
     let addr = h.addr();
@@ -332,18 +351,15 @@ fn single_flight_coalesces_concurrent_identical_requests() {
 }
 
 #[test]
-fn coalescing_can_be_disabled() {
+fn handlers_can_opt_out_of_coalescing() {
     const CLIENTS: usize = 4;
     let computes = Arc::new(AtomicU64::new(0));
     let handler = Arc::new(SlowEcho {
         computes: Arc::clone(&computes),
         park: Duration::from_millis(100),
+        coalesce: false,
     });
-    let h = test_server(|c| {
-        c.coalescing(false)
-            .workers(CLIENTS)
-            .route("POST", "/v1/slow", handler)
-    });
+    let h = test_server(|c| c.workers(CLIENTS).route("POST", "/v1/slow", handler));
     let addr = h.addr();
     let barrier = Arc::new(Barrier::new(CLIENTS));
     std::thread::scope(|s| {
@@ -359,7 +375,7 @@ fn coalescing_can_be_disabled() {
     assert_eq!(
         computes.load(Ordering::SeqCst),
         CLIENTS as u64,
-        "with coalescing off every request must compute independently"
+        "an uncoalesced handler must compute every request independently"
     );
     let mut c = Client::connect(addr, READ_TIMEOUT);
     assert_eq!(counter(&mut c, "hms_coalesced_requests_total"), 0.0);
