@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use hms_core::{profile_sample, Predictor, SearchRequest, SearchStrategy};
+use hms_core::{profile_sample, Predictor, SearchRequest};
 use hms_kernels::Scale;
 use hms_serve::Json;
 use hms_types::{ArrayId, GpuConfig};
@@ -99,18 +99,6 @@ fn main() {
         "warm pass must load skeletons from disk"
     );
     let _ = std::fs::remove_dir_all(&skel_dir);
-
-    // Branch-and-bound, for the prune-rate counter.
-    let bb = SearchRequest::new(&kt.arrays, &sample)
-        .candidates(&candidates)
-        .strategy(SearchStrategy::BranchAndBound)
-        .run(&predictor, &profile)
-        .expect("searches");
-    assert_eq!(
-        bb.ranked.first().map(|r| r.predicted_cycles.to_bits()),
-        outcome.ranked.first().map(|r| r.predicted_cycles.to_bits()),
-        "pruning dropped the optimum"
-    );
 
     // Batch scenario: wide8 (7 read-only arrays feeding one output),
     // 512 candidates. One skeleton group covering hundreds of
@@ -188,10 +176,6 @@ fn main() {
         "  rewrite reduction:     {:.2}x",
         cold.stats.rewrite_reduction()
     );
-    println!(
-        "  b&b prune rate:        {:.1}%",
-        bb.stats.prune_rate() * 100.0
-    );
     let batch_cps = batch.stats.candidates_evaluated as f64 / batch_secs.max(1e-9);
     println!(
         "batch scenario (wide8, {} candidates)",
@@ -236,11 +220,6 @@ fn main() {
             "rewrite_reduction".into(),
             Json::Num(cold.stats.rewrite_reduction()),
         ),
-        (
-            "bb_candidates_pruned".into(),
-            Json::Num(bb.stats.candidates_pruned as f64),
-        ),
-        ("bb_prune_rate".into(), Json::Num(bb.stats.prune_rate())),
         ("batch_kernel".into(), Json::str("wide8")),
         (
             "batch_candidates".into(),

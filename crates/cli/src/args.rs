@@ -64,16 +64,18 @@ pub enum Command {
         config: Option<String>,
     },
     /// Search the placement space through the incremental engine, with
-    /// optional branch-and-bound pruning and observability stats.
+    /// a choice of strategy and observability stats.
     Search {
         kernel: String,
         scale: Scale,
         train: bool,
         top: usize,
         stats: bool,
+        /// `--prune`: the legacy branch-and-bound flag, a spelling of
+        /// exhaustive search that conflicts with `--strategy`.
         prune: bool,
-        /// Search strategy spelling (`--strategy beam|halving|local|bnb|
-        /// exhaustive`); `None` falls back to `--prune`.
+        /// Search strategy spelling (`--strategy beam|halving|local|
+        /// exhaustive`, or `bnb` for exhaustive); `None` = exhaustive.
         strategy: Option<String>,
         /// Local-search seed (`--seed`, only with `--strategy local`).
         seed: Option<u64>,
@@ -340,15 +342,16 @@ SPACES: G (global), T (1-D texture), 2T (2-D texture), C (constant), S (shared)
 
 `search` ranks like `advise` but runs the incremental delta-evaluation
 engine; `--stats` prints its observability counters (full rewrites,
-delta hits, prune rate), `--prune` switches to branch-and-bound.
-`--strategy` picks the search algorithm by name: `exhaustive`, `bnb`
-(branch-and-bound), or the anytime strategies `beam` (beam search,
-width via `--beam`), `halving` (successive halving over skeleton
-groups), and `local` (seeded genetic local search, seed via `--seed`).
-Anytime strategies trade coverage for time and report a sound
-optimality-gap upper bound in `--stats`/`--json`: the true optimum is
-never better than best-found / (1 + gap). `--prune` conflicts with
-`--strategy`; `--beam`/`--seed` require their strategy.
+delta hits, rewrite reduction). `--strategy` picks the search algorithm
+by name: `exhaustive` (the default), or the anytime strategies `beam`
+(beam search, width via `--beam`), `halving` (successive halving over
+skeleton groups), and `local` (seeded genetic local search, seed via
+`--seed`). Anytime strategies trade coverage for time and report a
+sound optimality-gap upper bound in `--stats`/`--json`: the true
+optimum is never better than best-found / (1 + gap). `--prune` and
+`--strategy bnb` are accepted spellings of exhaustive; `--prune`
+conflicts with `--strategy`, and `--beam`/`--seed` require their
+strategy.
 `--deadline-ms` bounds the search wall clock: past it the best-so-far
 ranking is returned, flagged partial in the output. `--skel-cache DIR`
 persists the engine's walk skeletons in DIR across runs (versioned and
@@ -374,7 +377,7 @@ adds a named GPU configuration requests select with \"config\": NAME.
 
 EXAMPLES:
     hms advise neuralnet --train
-    hms search spmv --stats --prune
+    hms search spmv --stats
     hms search wide8 --scale test --strategy beam --beam 16 --stats
     hms search wide8 --scale test --strategy local --seed 7 --deadline-ms 2000
     hms predict spmv --move d_vec=G --move rowDelimiters=C

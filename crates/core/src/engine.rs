@@ -1,5 +1,5 @@
 //! Incremental placement-search engine: delta evaluation, memoization,
-//! and branch-and-bound support for the placement search.
+//! and the lower bound behind the search strategies' optimality gaps.
 //!
 //! The naive search pipeline re-runs `rewrite` + `analyze` for every
 //! candidate placement, even though most of the work is identical
@@ -36,16 +36,17 @@
 //! candidates silently take the exact `rewrite`+`analyze` fallback, so
 //! correctness never depends on the delta machinery.
 //!
-//! For branch-and-bound pruning the engine also precomputes a **monotone
-//! lower bound** on the predicted time of any completion of a partial
-//! assignment (see `Engine::lower_bound`): a `T_comp` floor from
-//! placement-invariant issue slots plus per-space stateless-replay and
-//! addressing floors, and a `T_mem` floor from per-space hit-latency
-//! floors — combined through the overlap model's
+//! For the anytime strategies' gaps and the beam's prefix ranking the
+//! engine also precomputes a **monotone lower bound** on the predicted
+//! time of any completion of a partial assignment (see
+//! `Engine::lower_bound`): a `T_comp` floor from placement-invariant
+//! issue slots plus per-space stateless-replay and addressing floors,
+//! and a `T_mem` floor from per-space hit-latency floors — combined
+//! through the overlap model's
 //! [`ToverlapModel::max_ratio`](crate::toverlap::ToverlapModel::max_ratio)
 //! ceiling. Every quantity in the bound can only grow when staging or
-//! cache misses are added, so no subtree containing the true optimum is
-//! ever pruned.
+//! cache misses are added, so the bound of a partial assignment never
+//! exceeds the prediction of any of its completions.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -99,17 +100,12 @@ pub struct EngineStats {
     /// (leftovers of writers that died mid-store — see the
     /// [`skelcache`](crate::skelcache) temp-file hygiene notes).
     pub skeleton_disk_tmp_swept: u64,
-    /// Legal candidates produced by enumeration (exhaustive) or visited
-    /// as branch-and-bound leaves.
+    /// Complete candidates a strategy produced for evaluation: the
+    /// enumerated space, the beam's surviving leaves, or local search's
+    /// proposals.
     pub candidates_enumerated: u64,
     /// Candidates actually evaluated by the model.
     pub candidates_evaluated: u64,
-    /// Completions skipped by the lower bound. Counted via per-array
-    /// standalone legality, so jointly-illegal completions inflate the
-    /// number slightly; it is an upper estimate of work avoided.
-    pub candidates_pruned: u64,
-    /// Prefix subtrees cut by the bound.
-    pub subtrees_pruned: u64,
     /// Wall time preparing skeletons and delta memos.
     pub prepare_nanos: u64,
     /// Wall time enumerating candidates.
@@ -163,23 +159,13 @@ impl EngineStats {
         )
     }
 
-    /// Fraction of the (estimated) candidate space skipped by pruning.
-    pub fn prune_rate(&self) -> f64 {
-        let total = self.candidates_pruned + self.candidates_evaluated;
-        if total == 0 {
-            0.0
-        } else {
-            self.candidates_pruned as f64 / total as f64
-        }
-    }
-
     /// Fold another stats snapshot into this one: counters and stage
     /// timings add, the `lane_width` and `gap_upper_bound` gauges keep
     /// their peak, and the accumulator's own `strategy` label stays.
     /// The one fold for cumulative engine totals: the advisory server's
     /// `/metrics` (which adds two anytime-only rules on top, see
-    /// `hms_serve::metrics::Metrics::on_engine_stats`), sweep harnesses,
-    /// and branch-and-bound's per-flush tally.
+    /// `hms_serve::metrics::Metrics::on_engine_stats`) and sweep
+    /// harnesses.
     pub fn accumulate(&mut self, other: &EngineStats) {
         self.skeletons_built += other.skeletons_built;
         self.full_rewrites += other.full_rewrites;
@@ -192,8 +178,6 @@ impl EngineStats {
         self.skeleton_disk_tmp_swept += other.skeleton_disk_tmp_swept;
         self.candidates_enumerated += other.candidates_enumerated;
         self.candidates_evaluated += other.candidates_evaluated;
-        self.candidates_pruned += other.candidates_pruned;
-        self.subtrees_pruned += other.subtrees_pruned;
         self.prepare_nanos += other.prepare_nanos;
         self.enumerate_nanos += other.enumerate_nanos;
         self.evaluate_nanos += other.evaluate_nanos;
@@ -245,12 +229,6 @@ impl std::fmt::Display for EngineStats {
             "  candidates evaluated    {:>10}",
             self.candidates_evaluated
         )?;
-        writeln!(
-            f,
-            "  candidates pruned (est) {:>10}",
-            self.candidates_pruned
-        )?;
-        writeln!(f, "  subtrees pruned         {:>10}", self.subtrees_pruned)?;
         writeln!(f, "  skeletons built         {:>10}", self.skeletons_built)?;
         writeln!(f, "  full trace rewrites     {:>10}", self.full_rewrites)?;
         writeln!(f, "  delta-composed evals    {:>10}", self.delta_cache_hits)?;
@@ -286,11 +264,6 @@ impl std::fmt::Display for EngineStats {
             f,
             "  rewrite reduction       {:>13.2}x",
             self.rewrite_reduction()
-        )?;
-        writeln!(
-            f,
-            "  prune rate              {:>12.1}%",
-            self.prune_rate() * 100.0
         )?;
         writeln!(
             f,
@@ -657,10 +630,9 @@ impl std::fmt::Debug for StaticsCache {
     }
 }
 
-/// Placement-invariant quantities behind the branch-and-bound lower
-/// bound. Every term either equals or under-approximates its
-/// counterpart in the real model for *any* completion of a partial
-/// assignment.
+/// Placement-invariant quantities behind the search's lower bound.
+/// Every term either equals or under-approximates its counterpart in
+/// the real model for *any* completion of a partial assignment.
 #[derive(Debug)]
 struct LbStatics {
     detailed: bool,
@@ -1800,7 +1772,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Standalone-legal spaces for each array (superset of the jointly
-    /// legal spaces) — drives branch-and-bound enumeration.
+    /// legal spaces) — the levels of the beam's prefix tree and the
+    /// local search's mutation choices.
     pub(crate) fn legal_spaces(&self, array: ArrayId) -> &[MemorySpace] {
         &self.st.lb.legal_spaces[array.index()]
     }
@@ -2065,7 +2038,10 @@ mod tests {
 
     #[test]
     fn lower_bound_never_exceeds_true_prediction() {
-        for name in ["vecadd", "spmv", "stencil2d"] {
+        // Every Table IV kernel, plus a synthetic space wider than any
+        // of them: the anytime gaps lean on this bound everywhere.
+        let names = hms_kernels::registry().into_iter().map(|k| k.name);
+        for name in names.chain(["wide6"]) {
             let (predictor, profile, arrays) = setup(name);
             let base = profile.trace.placement.clone();
             let ids: Vec<ArrayId> = arrays.iter().map(|a| a.id).collect();

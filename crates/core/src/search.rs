@@ -23,7 +23,7 @@ use hms_types::{ArrayDef, ArrayId, GpuConfig, HmsError, MemorySpace, PlacementMa
 use crate::engine::{Engine, EngineStats};
 use crate::predictor::Predictor;
 use crate::profile::Profile;
-use crate::strategies::{all_free_floor, space_floor, template, Sweep};
+use crate::strategies::{space_floor, Sweep};
 
 /// Enumerate every *legal* placement of `candidates` (other arrays stay
 /// as in `base`), bounded by `limit` to keep pathological spaces in
@@ -88,12 +88,6 @@ pub enum SearchStrategy {
     /// rewrite-per-candidate path for every worker count.
     #[default]
     Exhaustive,
-    /// Depth-first branch-and-bound over candidate arrays: subtrees
-    /// whose monotone lower bound already exceeds the best evaluated
-    /// candidate are skipped. Returns a *partial* ranking — pruned
-    /// placements are absent — but the top entry is always the true
-    /// optimum of the legal space, for every worker count.
-    BranchAndBound,
     /// Anytime beam search over per-array placement prefixes: at each
     /// depth only the `width` prefixes with the smallest monotone lower
     /// bound survive. The gap bound comes from the cheapest dropped
@@ -128,7 +122,6 @@ impl SearchStrategy {
     pub fn name(self) -> &'static str {
         match self {
             SearchStrategy::Exhaustive => "exhaustive",
-            SearchStrategy::BranchAndBound => "branch_and_bound",
             SearchStrategy::Beam { .. } => "beam",
             SearchStrategy::SuccessiveHalving => "successive_halving",
             SearchStrategy::LocalSearch { .. } => "local_search",
@@ -147,16 +140,16 @@ impl SearchStrategy {
     }
 
     /// Parse the CLI/wire spelling plus its optional knobs. Accepts the
-    /// short and long spellings (`bnb`/`branch_and_bound`,
-    /// `halving`/`successive_halving`, `local`/`local_search`), rejects
-    /// knobs that do not apply to the named strategy, and rejects a
-    /// zero beam width. The shared entry point for `hms search
-    /// --strategy` and the `/v1/search` `strategy` member, so both
-    /// surfaces accept exactly the same language.
+    /// short and long spellings (`halving`/`successive_halving`,
+    /// `local`/`local_search`), plus `bnb`/`branch_and_bound` as
+    /// spellings of exhaustive search. Rejects knobs that do not apply
+    /// to the named strategy, and rejects a zero beam width. The shared
+    /// entry point for `hms search --strategy` and the `/v1/search`
+    /// `strategy` member, so both surfaces accept exactly the same
+    /// language.
     pub fn parse(name: &str, beam: Option<usize>, seed: Option<u64>) -> Result<Self, String> {
         let strategy = match name {
-            "exhaustive" => SearchStrategy::Exhaustive,
-            "bnb" | "branch_and_bound" => SearchStrategy::BranchAndBound,
+            "exhaustive" | "bnb" | "branch_and_bound" => SearchStrategy::Exhaustive,
             "beam" => SearchStrategy::Beam {
                 width: beam.unwrap_or(Self::DEFAULT_BEAM_WIDTH),
             },
@@ -189,7 +182,7 @@ impl SearchStrategy {
 /// ```ignore
 /// let outcome = SearchRequest::new(&kt.arrays, &base)
 ///     .candidates(&[ArrayId(0), ArrayId(1)])
-///     .strategy(SearchStrategy::BranchAndBound)
+///     .strategy(SearchStrategy::Beam { width: 8 })
 ///     .run(&predictor, &profile)?;
 /// println!("{}", outcome.stats);
 /// ```
@@ -246,8 +239,7 @@ impl<'a> SearchRequest<'a> {
         self
     }
 
-    /// Cap the number of legal placements enumerated (exhaustive) or
-    /// evaluated as leaves (branch-and-bound).
+    /// Cap the number of legal placements enumerated.
     pub fn limit(mut self, limit: usize) -> Self {
         self.limit = limit;
         self
@@ -313,8 +305,8 @@ impl<'a> SearchRequest<'a> {
 
     /// Reject structurally nonsense searches before any model work:
     /// a zero candidate cap, a candidate id past the kernel's arrays, or
-    /// the same array listed twice (the branch-and-bound assignment
-    /// vector indexes by array id and would silently double-assign).
+    /// the same array listed twice (the strategies' assignment vectors
+    /// index by array id and would silently double-assign).
     pub fn validate(&self) -> Result<(), HmsError> {
         if self.limit == 0 {
             return Err(HmsError::InvalidInput(
@@ -355,7 +347,6 @@ impl<'a> SearchRequest<'a> {
         let mut sweep = Sweep::new(&engine, self);
         match self.strategy {
             SearchStrategy::Exhaustive => exhaustive(&mut sweep)?,
-            SearchStrategy::BranchAndBound => branch_and_bound(&mut sweep)?,
             SearchStrategy::Beam { width } => crate::strategies::beam::run(&mut sweep, width)?,
             SearchStrategy::SuccessiveHalving => crate::strategies::halving::run(&mut sweep)?,
             SearchStrategy::LocalSearch { seed } => {
@@ -416,129 +407,6 @@ fn exhaustive(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
     if sweep.partial() {
         let truncated = space.len() >= req.limit;
         sweep.lower_floor(space_floor(engine, req, space[done..].iter(), truncated));
-    }
-    Ok(())
-}
-
-/// Leaves per branch-and-bound flush: the incumbent upper bound — and
-/// so the pruning — tightens once per flush. Constant (never derived
-/// from the worker or core count), so the exact set of placements
-/// evaluated is machine- and thread-count independent.
-const BB_FLUSH: usize = 64;
-
-/// Depth-first branch-and-bound over the candidate arrays, in candidate
-/// order, spaces in [`MemorySpace::ALL`] order. Leaves are collected
-/// into fixed-size flushes and evaluated in parallel; the incumbent
-/// upper bound tightens between flushes. A subtree is cut only when its
-/// monotone lower bound *strictly exceeds* the incumbent, so the true
-/// optimum always survives to evaluation. Complete, the search is exact
-/// (gap 0); a deadline cut stops the walk, and the driver evaluates no
-/// flush after the cut, so leaves still pending then are counted as
-/// enumerated but never evaluated. Unexplored subtrees and dropped
-/// leaves were never bounded, so the all-free floor covers them.
-fn branch_and_bound(sweep: &mut Sweep<'_, '_>) -> Result<(), HmsError> {
-    let (engine, req) = (sweep.engine, sweep.req);
-    let t0 = Instant::now();
-    // Remaining-subtree sizes for the pruned-candidate estimate: the
-    // product of standalone-legal space counts below each depth.
-    let mut subtree: Vec<u64> = vec![1; req.candidates.len() + 1];
-    for (d, &id) in req.candidates.iter().enumerate().rev() {
-        subtree[d] = subtree[d + 1].saturating_mul(engine.legal_spaces(id).len().max(1) as u64);
-    }
-    let mut assignment = template(req);
-
-    struct Dfs<'w, 's, 'e> {
-        sweep: &'w mut Sweep<'s, 'e>,
-        subtree: &'w [u64],
-        ub: f64,
-        batch: Vec<PlacementMap>,
-        leaves: usize,
-        /// Per-leaf and per-subtree counts since the last flush.
-        tally: EngineStats,
-        error: Option<HmsError>,
-    }
-
-    impl Dfs<'_, '_, '_> {
-        fn flush(&mut self) {
-            let tally = std::mem::take(&mut self.tally);
-            self.sweep.engine.bump(|s| s.accumulate(&tally));
-            if self.batch.is_empty() || self.error.is_some() {
-                return;
-            }
-            let batch = std::mem::take(&mut self.batch);
-            match self.sweep.evaluate(&batch) {
-                Ok(ranked) => {
-                    for r in ranked {
-                        if r.predicted_cycles < self.ub {
-                            self.ub = r.predicted_cycles;
-                        }
-                    }
-                }
-                Err(e) => self.error = Some(e),
-            }
-        }
-
-        fn visit(
-            &mut self,
-            depth: usize,
-            assignment: &mut [Option<MemorySpace>],
-            pm: &PlacementMap,
-        ) {
-            let (engine, req) = (self.sweep.engine, self.sweep.req);
-            // Flushes are sized by pruning, not time, so the walk also
-            // asks the driver for a cut between leaves — once it holds
-            // one, so a partial outcome still carries a prediction.
-            if self.error.is_some()
-                || self.leaves >= req.limit
-                || (self.leaves > 0 && self.sweep.interrupted())
-            {
-                return;
-            }
-            if engine.lower_bound(assignment) > self.ub {
-                self.tally.subtrees_pruned += 1;
-                self.tally.candidates_pruned += self.subtree[depth];
-                return;
-            }
-            let Some(&id) = req.candidates.get(depth) else {
-                // Leaf: joint legality can be stricter than the per-array
-                // legality that shaped the tree (e.g. shared capacity).
-                if pm.validate(req.arrays, &engine.predictor().cfg).is_ok() {
-                    self.leaves += 1;
-                    self.tally.candidates_enumerated += 1;
-                    self.batch.push(pm.clone());
-                    if self.batch.len() >= BB_FLUSH {
-                        self.flush();
-                    }
-                }
-                return;
-            };
-            for &space in engine.legal_spaces(id) {
-                assignment[id.index()] = Some(space);
-                let child = pm.with(id, space);
-                self.visit(depth + 1, assignment, &child);
-                assignment[id.index()] = None;
-            }
-        }
-    }
-
-    let mut dfs = Dfs {
-        sweep,
-        subtree: &subtree,
-        ub: f64::INFINITY,
-        batch: Vec::new(),
-        leaves: 0,
-        tally: EngineStats::default(),
-        error: None,
-    };
-    let root = req.base.clone();
-    engine.bump(|s| s.enumerate_nanos += t0.elapsed().as_nanos() as u64);
-    dfs.visit(0, &mut assignment, &root);
-    dfs.flush();
-    if let Some(e) = dfs.error {
-        return Err(e);
-    }
-    if sweep.partial() {
-        sweep.lower_floor(all_free_floor(engine, req));
     }
     Ok(())
 }
@@ -663,36 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_and_bound_keeps_true_best() {
-        let cfg = GpuConfig::test_small();
-        let kt = vecadd::build(Scale::Test);
-        let base = kt.default_placement();
-        let profile = profile_sample(&kt, &base, &cfg).unwrap();
-        let predictor = Predictor::new(cfg);
-        let full = SearchRequest::new(&kt.arrays, &base)
-            .run(&predictor, &profile)
-            .unwrap();
-        for threads in [1, 2, 0] {
-            let bb = SearchRequest::new(&kt.arrays, &base)
-                .strategy(SearchStrategy::BranchAndBound)
-                .threads(threads)
-                .run(&predictor, &profile)
-                .unwrap();
-            let best = bb.best().expect("non-empty");
-            let truth = full.best().expect("non-empty");
-            assert_eq!(best.placement, truth.placement);
-            assert_eq!(
-                best.predicted_cycles.to_bits(),
-                truth.predicted_cycles.to_bits()
-            );
-            assert!(
-                bb.stats.candidates_evaluated + bb.stats.candidates_pruned
-                    >= full.ranked.len() as u64
-            );
-        }
-    }
-
-    #[test]
     fn validate_rejects_malformed_requests() {
         let cfg = GpuConfig::test_small();
         let kt = vecadd::build(Scale::Test);
@@ -748,7 +586,6 @@ mod tests {
                 [
                     s.candidates_enumerated,
                     s.candidates_evaluated,
-                    s.candidates_pruned,
                     s.skeletons_built,
                     s.full_rewrites,
                     s.delta_cache_hits,
@@ -762,7 +599,6 @@ mod tests {
 
         for strategy in [
             SearchStrategy::Exhaustive,
-            SearchStrategy::BranchAndBound,
             // Wider than one chunk, so the beam's leaves span several.
             SearchStrategy::Beam { width: 256 },
             SearchStrategy::SuccessiveHalving,
@@ -808,13 +644,6 @@ mod tests {
                     cut.ranked.len() < free.ranked.len(),
                     "{strategy:?} x{threads}"
                 );
-                if strategy == SearchStrategy::BranchAndBound {
-                    // The walk stops at the second leaf, and the final
-                    // flush evaluates the single leaf collected before it.
-                    assert_eq!(cut.ranked.len(), 1, "x{threads}");
-                    assert_eq!(cut.stats.candidates_enumerated, 1, "x{threads}");
-                    assert_eq!(cut.stats.candidates_evaluated, 1, "x{threads}");
-                }
                 for r in &cut.ranked {
                     assert_eq!(
                         Some(&r.predicted_cycles.to_bits()),

@@ -1,6 +1,6 @@
 //! Beam search over per-array placement prefixes.
 //!
-//! The branch-and-bound tree — candidate arrays in request order, each
+//! The placement tree — candidate arrays in request order, each
 //! level choosing that array's standalone-legal space — is walked
 //! breadth-first, but only the `width` prefixes with the smallest
 //! monotone lower bound survive a level. Surviving complete

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! which guarantees `optimum ≤ best_found ≤ optimum × (1 + gap)`. The
-//! floors come from the branch-and-bound monotone lower bound
+//! floors come from the engine's monotone lower bound
 //! (`Engine::lower_bound`), which never exceeds the model's
 //! prediction for any completion of a partial assignment:
 //!
@@ -33,25 +33,23 @@
 //! * [`local`] — the all-free floor (a stochastic search proves nothing
 //!   about the space it never visited).
 //!
-//! The exact strategies report gap 0 when they complete; when a
-//! deadline cuts them short, they fall back to the same floor
-//! construction so a partial result still carries a sound bound.
+//! Exhaustive search reports gap 0 when it completes; when a deadline
+//! cuts it short, it falls back to the same floor construction so a
+//! partial result still carries a sound bound.
 //!
 //! # Determinism contract
 //!
-//! Every strategy — exhaustive and branch-and-bound included —
-//! evaluates through one driver, `Sweep`, and the driver alone owns
-//! the schedule. A request with no deadline and no cancel flag hands
-//! each list to the engine in one batch. An interruptible request
-//! evaluates each list in fixed `BB_BATCH` chunks and polls the
-//! deadline and cancel flag **only between chunks, never before the
-//! search's first result**. (Branch-and-bound, whose flushes are sized
-//! by pruning rather than time, also asks `Sweep::interrupted` between
-//! leaves.) Results are sorted stably and the gap is reported from the
-//! floor the strategy lowered. So every returned prediction is
-//! bit-identical to what a deadline-free run would have produced, at
-//! any worker count; a deadline changes how far the search got, never
-//! the bits of what it returns. [`local`] goes further: the
+//! Every strategy — exhaustive included — evaluates through one
+//! driver, `Sweep`, and the driver alone owns the schedule. A request
+//! with no deadline and no cancel flag hands each list to the engine in
+//! one batch. An interruptible request evaluates each list in fixed
+//! `CHUNK` chunks and polls the deadline and cancel flag **only between
+//! chunks, never before the search's first result**. Results are
+//! sorted stably and the gap is reported from the floor the strategy
+//! lowered. So every returned prediction is bit-identical to what a
+//! deadline-free run would have produced, at any worker count; a
+//! deadline changes how far the search got, never the bits of what it
+//! returns. [`local`] goes further: the
 //! RNG stream is a pure function of the seed and consumes draws in an
 //! order independent of scheduling, so the entire outcome is
 //! bit-identical across `--threads 1/2/8`.
@@ -73,7 +71,7 @@ use crate::search::{RankedPlacement, SearchRequest};
 /// a deadline can cut a search — and therefore the exact set of
 /// placements a cut search evaluated — are machine- and thread-count
 /// independent.
-const BB_BATCH: usize = 64;
+const CHUNK: usize = 64;
 
 /// The one evaluation driver of a search: it owns the evaluation
 /// schedule, the deadline and cancel checks, the accumulated results,
@@ -100,9 +98,10 @@ impl<'s, 'e> Sweep<'s, 'e> {
 
     /// Evaluate `list` in order and return the newly evaluated prefix.
     /// An uninterruptible request evaluates the whole list in one engine
-    /// batch; an interruptible one evaluates `BB_BATCH` chunks, checking
-    /// for a cut between chunks once the search holds a result. A cut
-    /// returns a short prefix, and later calls evaluate nothing more.
+    /// batch; an interruptible one evaluates `CHUNK`-sized chunks,
+    /// checking for a cut between chunks once the search holds a result.
+    /// A cut returns a short prefix, and later calls evaluate nothing
+    /// more.
     pub(crate) fn evaluate(
         &mut self,
         list: &[PlacementMap],
@@ -110,7 +109,7 @@ impl<'s, 'e> Sweep<'s, 'e> {
         let start = self.ranked.len();
         let interruptible = self.req.deadline.is_some() || self.req.cancel.is_some();
         let chunk_len = if interruptible {
-            BB_BATCH
+            CHUNK
         } else {
             list.len().max(1)
         };
@@ -125,10 +124,10 @@ impl<'s, 'e> Sweep<'s, 'e> {
     }
 
     /// Has the deadline passed or the cancel flag been raised? A `true`
-    /// answer is latched: the outcome is partial from then on. Callers
-    /// ask only once they hold a result or a pending one, so a partial
-    /// outcome always carries a real best-so-far prediction.
-    pub(crate) fn interrupted(&mut self) -> bool {
+    /// answer is latched: the outcome is partial from then on. Asked
+    /// only once the search holds a result, so a partial outcome always
+    /// carries a real best-so-far prediction.
+    fn interrupted(&mut self) -> bool {
         self.partial = self.partial
             || self
                 .req
@@ -360,8 +359,8 @@ mod tests {
         use crate::engine::Engine;
         use crate::search::enumerate_placements;
 
-        // Branch-and-bound's last flush relies on this: once a cut is
-        // seen, leaves still pending are dropped, not evaluated.
+        // Once a cut is seen, lists handed over later are dropped, not
+        // evaluated.
         let (predictor, profile, arrays) = setup();
         let base = profile.trace.placement.clone();
         let flag = Arc::new(AtomicBool::new(false));
@@ -408,10 +407,14 @@ mod tests {
             SearchStrategy::parse("local", None, Some(5)).unwrap(),
             SearchStrategy::LocalSearch { seed: 5 }
         );
-        assert_eq!(
-            SearchStrategy::parse("bnb", None, None).unwrap(),
-            SearchStrategy::BranchAndBound
-        );
+        // The branch-and-bound spellings name exhaustive search.
+        for name in ["bnb", "branch_and_bound"] {
+            assert_eq!(
+                SearchStrategy::parse(name, None, None).unwrap(),
+                SearchStrategy::Exhaustive
+            );
+            assert!(SearchStrategy::parse(name, Some(4), None).is_err());
+        }
         assert!(SearchStrategy::parse("warp_drive", None, None).is_err());
         assert!(SearchStrategy::parse("beam", Some(0), None).is_err());
         assert!(SearchStrategy::parse("local", Some(4), None).is_err());

@@ -249,8 +249,7 @@ pub fn strategy_cap(level: u8) -> Option<SearchStrategy> {
 /// Relative cost rank used by [`apply_cap`] — higher is more expensive.
 fn strategy_cost(s: &SearchStrategy) -> u8 {
     match s {
-        SearchStrategy::Exhaustive => 4,
-        SearchStrategy::BranchAndBound => 3,
+        SearchStrategy::Exhaustive => 3,
         SearchStrategy::SuccessiveHalving => 2,
         SearchStrategy::Beam { .. } => 1,
         SearchStrategy::LocalSearch { .. } => 0,
@@ -374,7 +373,6 @@ mod tests {
         );
         // Level 1: expensive strategies cap at beam; beam/local pass.
         assert_eq!(apply_cap(S::Exhaustive, strategy_cap(1)), (beam, true));
-        assert_eq!(apply_cap(S::BranchAndBound, strategy_cap(1)), (beam, true));
         assert_eq!(
             apply_cap(S::Beam { width: 4 }, strategy_cap(1)),
             (S::Beam { width: 4 }, false)

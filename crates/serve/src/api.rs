@@ -316,12 +316,15 @@ impl Advisor {
     }
 
     /// The `GET /v1/kernels` body: every registered kernel with its
-    /// arrays at `scale`.
+    /// arrays at `scale`. The traces come from (and land in) the kernel
+    /// cache that predict and search read.
     pub fn kernels_body(&self, scale: Scale) -> Json {
         let kernels: Vec<Json> = registry()
             .into_iter()
             .map(|spec| {
-                let kt = (spec.build)(scale);
+                let kt = self
+                    .kernel(spec.name, scale)
+                    .expect("registry kernels resolve by name");
                 let arrays: Vec<Json> = kt
                     .arrays
                     .iter()
@@ -557,10 +560,10 @@ mod tests {
     fn expired_deadline_marks_body_partial() {
         let a = advisor();
         let q = RankRequest {
-            kernel: "vecadd".into(),
+            kernel: "spmv".into(),
             scale: Scale::Test,
             top: 3,
-            prune: true, // branch-and-bound checks the deadline per leaf
+            prune: false,
             threads: 1,
             config: None,
             strategy: None,
@@ -568,11 +571,15 @@ mod tests {
             beam: None,
         };
         let mut e = Effort::default();
+        // The deadline is checked between 64-candidate chunks, so the
+        // space must span more than one for a cut to land.
+        let (_, full) = a.rank(&q, true, None, &mut e).unwrap();
+        assert!(full.ranked.len() > 64, "{} candidates", full.ranked.len());
         let deadline = Some(Instant::now()); // already expired
         let (body, outcome) = a.rank(&q, true, deadline, &mut e).unwrap();
         assert!(outcome.partial);
         assert_eq!(body.get("partial").and_then(Json::as_bool), Some(true));
-        // Best-so-far is never empty: at least one leaf was evaluated.
+        // Best-so-far is never empty: at least one chunk was evaluated.
         assert!(!outcome.ranked.is_empty());
         // A generous deadline completes and produces the exact same
         // bytes as no deadline at all.
@@ -592,5 +599,13 @@ mod tests {
         assert!(kernels
             .iter()
             .any(|k| k.get("name").and_then(Json::as_str) == Some("spmv")));
+        // The listing built its traces into the shared kernel cache.
+        for spec in registry() {
+            assert!(
+                a.cached_kernel(spec.name, Scale::Test).is_some(),
+                "{}",
+                spec.name
+            );
+        }
     }
 }

@@ -129,8 +129,14 @@ pub enum Outcome {
     /// Dispatch to the worker pool ([`Handler::compute`] runs there).
     /// With `coalesce`, concurrent identical requests (same target +
     /// body bytes) share one `compute` — only set it for handlers whose
-    /// response is a pure function of the request.
-    Compute { coalesce: bool },
+    /// response is a pure function of the request. `charge` names the
+    /// tenant whose quota pays for the computation: only the request
+    /// that leads it spends a token (a coalesced joiner spends none),
+    /// and an out-of-quota leader answers its whole flight 429.
+    Compute {
+        coalesce: bool,
+        charge: Option<usize>,
+    },
 }
 
 /// Per-request context handed to both handler stages.
@@ -176,25 +182,6 @@ impl Ctx<'_> {
     /// The watchdog's cooperative cancel flag for this compute slot.
     pub fn cancel_flag(&self) -> Option<Arc<AtomicBool>> {
         self.cancel.as_ref().map(Arc::clone)
-    }
-
-    /// Charge one token of tenant `idx`'s quota; out-of-quota cold
-    /// requests are refused with 429 before any model work. Tenants
-    /// without a configured quota always admit.
-    pub fn admit(&self, tenant: usize) -> Result<(), Response> {
-        let adm = &self.shared.admission[tenant];
-        if let Some(bucket) = &adm.bucket {
-            if !bucket.try_take() {
-                self.metrics()
-                    .admission_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(Response::error(
-                    429,
-                    "quota exhausted for this config; retry later",
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// Refuse with 504 if the request is already past its deadline —
@@ -357,7 +344,10 @@ impl Handler for Kernels {
         };
         match ctx.cached(&BodyKey::Kernels(scale)) {
             Some(body) => Outcome::Ready(Response::json_shared(body)),
-            None => Outcome::Compute { coalesce: true },
+            None => Outcome::Compute {
+                coalesce: true,
+                charge: None,
+            },
         }
     }
 
@@ -430,12 +420,12 @@ impl Handler for Predict {
         } else if let Some(resp) = unknown_kernel(&q.kernel) {
             return Outcome::Ready(resp);
         }
-        // Only cold requests (the ones that cost model work) consume
-        // quota; warm cache hits above stay free.
-        if let Err(resp) = ctx.admit(tenant) {
-            return Outcome::Ready(resp);
+        // Only cold requests consume quota, and only the one that leads
+        // the computation; warm cache hits above stay free.
+        Outcome::Compute {
+            coalesce: true,
+            charge: Some(tenant),
         }
-        Outcome::Compute { coalesce: true }
     }
 
     fn compute(&self, ctx: &Ctx<'_>, req: &Request) -> Response {
@@ -541,12 +531,12 @@ impl Handler for Rank {
         if let Some(resp) = unknown_kernel(&q.kernel) {
             return Outcome::Ready(resp);
         }
-        // Only cold requests (the ones that run the engine) consume
-        // quota; warm cache hits above stay free.
-        if let Err(resp) = ctx.admit(tenant) {
-            return Outcome::Ready(resp);
+        // Only cold requests consume quota, and only the one that leads
+        // the computation; warm cache hits above stay free.
+        Outcome::Compute {
+            coalesce: true,
+            charge: Some(tenant),
         }
-        Outcome::Compute { coalesce: true }
     }
 
     fn compute(&self, ctx: &Ctx<'_>, req: &Request) -> Response {

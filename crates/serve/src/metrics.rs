@@ -272,7 +272,7 @@ impl Metrics {
             ));
         }
 
-        let counters: [(&str, &str, u64); 29] = [
+        let counters: [(&str, &str, u64); 28] = [
             (
                 "hms_prediction_cache_hits_total",
                 "Predict queries answered from the prediction cache.",
@@ -377,11 +377,6 @@ impl Metrics {
                 "hms_engine_candidates_evaluated_total",
                 "Candidates evaluated by the model.",
                 e.candidates_evaluated,
-            ),
-            (
-                "hms_engine_candidates_pruned_total",
-                "Candidates skipped by branch-and-bound (estimate).",
-                e.candidates_pruned,
             ),
             (
                 "hms_engine_candidates_visited_total",

@@ -778,6 +778,11 @@ fn deliver(shared: &Shared, key: Option<&FlightKey>, waiter: &Waiter, resp: &Res
         }
         None => vec![waiter.clone()],
     };
+    fan_out(shared, waiters, resp);
+}
+
+/// Queue `resp` for every waiter on its shard's event loop.
+fn fan_out(shared: &Shared, waiters: Vec<Waiter>, resp: &Response) {
     for w in waiters {
         let inbox = &shared.inboxes[w.shard];
         inbox
@@ -1185,6 +1190,15 @@ fn process_conn(shared: &Arc<Shared>, shard: usize, idx: usize, gen: u64, conn: 
     conn.flush();
 }
 
+/// Take one token of `tenant`'s quota; tenants without one always
+/// admit.
+fn admits(shared: &Shared, tenant: usize) -> bool {
+    shared.admission[tenant]
+        .bucket
+        .as_ref()
+        .is_none_or(|bucket| bucket.try_take())
+}
+
 /// Route one request: answer warm outcomes inline, dispatch cold ones
 /// to the worker pool (joining an existing flight when an identical
 /// request is already computing).
@@ -1219,7 +1233,7 @@ fn handle_request(
                         close,
                     );
                 }
-                Outcome::Compute { coalesce } => {
+                Outcome::Compute { coalesce, charge } => {
                     let waiter = Waiter {
                         shard,
                         conn: idx,
@@ -1234,7 +1248,21 @@ fn handle_request(
                         Some(k) => matches!(shared.flights.join(k, waiter.clone()), Join::Lead),
                         None => true,
                     };
-                    if leads {
+                    // Only a computation spends quota, so only its leader
+                    // pays. A refused leader lands its flight with the
+                    // 429, so no joiner is left waiting.
+                    let refused = leads && charge.is_some_and(|t| !admits(shared, t));
+                    if refused {
+                        let waiters = match &key {
+                            Some(k) => shared.flights.complete(k),
+                            None => vec![waiter],
+                        };
+                        m.admission_rejected
+                            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
+                        let resp =
+                            Response::error(429, "quota exhausted for this config; retry later");
+                        fan_out(shared, waiters, &resp);
+                    } else if leads {
                         let handler = Arc::clone(&entry.handler);
                         let mut q = lock_jobs(shared);
                         q.push_back(Job {
@@ -1352,7 +1380,10 @@ mod tests {
 
     impl Handler for Wedged {
         fn poll(&self, _ctx: &Ctx<'_>, _req: &Request) -> Outcome {
-            Outcome::Compute { coalesce: true }
+            Outcome::Compute {
+                coalesce: true,
+                charge: None,
+            }
         }
 
         fn compute(&self, _ctx: &Ctx<'_>, _req: &Request) -> Response {

@@ -207,17 +207,18 @@ pub struct RankRequest {
     pub kernel: String,
     pub scale: Scale,
     pub top: usize,
-    /// Branch-and-bound instead of exhaustive (mirrors `hms search
-    /// --prune`). Always `false` for `/v1/advise`.
+    /// The legacy branch-and-bound flag (mirrors `hms search --prune`);
+    /// it resolves to exhaustive search. Always `false` for
+    /// `/v1/advise`.
     pub prune: bool,
     /// Worker threads for candidate evaluation (0 = all cores). Does not
     /// affect the response bytes — evaluation is thread-deterministic.
     pub threads: usize,
     /// Named GPU configuration (tenant); `None` = default tenant.
     pub config: Option<String>,
-    /// Explicit strategy spelling (`beam`, `halving`, `local`, `bnb`,
-    /// `exhaustive`); `None` falls back to the `prune` flag. `/v1/search`
-    /// only. Mutually exclusive with `prune: true`.
+    /// Explicit strategy spelling (`beam`, `halving`, `local`,
+    /// `exhaustive`, or its alias `bnb`); `None` means exhaustive.
+    /// `/v1/search` only. Mutually exclusive with `prune: true`.
     pub strategy: Option<String>,
     /// Local-search seed; only legal with `"strategy": "local"`.
     pub seed: Option<u64>,
@@ -271,10 +272,9 @@ impl RankRequest {
         Ok(req)
     }
 
-    /// The [`hms_core::SearchStrategy`] this request asks for.
-    /// `strategy` (with its knobs) wins; otherwise `prune` picks
-    /// branch-and-bound over exhaustive, exactly as before the anytime
-    /// strategies existed.
+    /// The [`hms_core::SearchStrategy`] this request asks for:
+    /// `strategy` (with its knobs), else exhaustive. `prune: true` is a
+    /// spelling of exhaustive that only conflicts with `strategy`.
     pub fn resolve_strategy(&self) -> Result<hms_core::SearchStrategy, ApiError> {
         use hms_core::SearchStrategy;
         match &self.strategy {
@@ -292,7 +292,6 @@ impl RankRequest {
             None if self.seed.is_some() => Err(ApiError::BadRequest(
                 "field `seed` requires `\"strategy\": \"local\"`".into(),
             )),
-            None if self.prune => Ok(SearchStrategy::BranchAndBound),
             None => Ok(SearchStrategy::Exhaustive),
         }
     }
@@ -360,8 +359,8 @@ pub struct RankResponse {
     pub kernel: String,
     pub scale: Scale,
     /// [`SearchStrategy::name`](hms_core::SearchStrategy::name):
-    /// `"exhaustive"`, `"branch_and_bound"`, `"beam"`,
-    /// `"successive_halving"`, or `"local_search"`.
+    /// `"exhaustive"`, `"beam"`, `"successive_halving"`, or
+    /// `"local_search"`.
     pub strategy: &'static str,
     /// Candidates actually ranked (before the `top` cut).
     pub ranked_total: usize,
@@ -418,10 +417,6 @@ impl RankResponse {
                         (
                             "candidates_evaluated".into(),
                             Json::Num(s.candidates_evaluated as f64),
-                        ),
-                        (
-                            "candidates_pruned".into(),
-                            Json::Num(s.candidates_pruned as f64),
                         ),
                         (
                             "skeletons_built".into(),
@@ -637,16 +632,16 @@ mod tests {
             q.resolve_strategy().unwrap(),
             SearchStrategy::LocalSearch { seed: 9 }
         );
-        // The legacy spellings keep resolving as before.
-        let v = decode(r#"{"kernel":"wide8","prune":true}"#).unwrap();
-        let q = RankRequest::from_json(&v, true).unwrap();
-        assert_eq!(
-            q.resolve_strategy().unwrap(),
-            SearchStrategy::BranchAndBound
-        );
-        let v = decode(r#"{"kernel":"wide8"}"#).unwrap();
-        let q = RankRequest::from_json(&v, true).unwrap();
-        assert_eq!(q.resolve_strategy().unwrap(), SearchStrategy::Exhaustive);
+        // The legacy branch-and-bound spellings resolve to exhaustive.
+        for body in [
+            r#"{"kernel":"wide8","prune":true}"#,
+            r#"{"kernel":"wide8","strategy":"bnb"}"#,
+            r#"{"kernel":"wide8","strategy":"branch_and_bound"}"#,
+            r#"{"kernel":"wide8"}"#,
+        ] {
+            let q = RankRequest::from_json(&decode(body).unwrap(), true).unwrap();
+            assert_eq!(q.resolve_strategy().unwrap(), SearchStrategy::Exhaustive);
+        }
     }
 
     #[test]

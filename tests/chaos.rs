@@ -12,7 +12,7 @@
 //! * with faults disabled, predictions are byte-identical before and
 //!   after the storm — degradation machinery is invisible when idle.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use gpu_hms::core::{CacheFs, Predictor};
@@ -170,7 +170,10 @@ struct Wedge {
 
 impl Handler for Wedge {
     fn poll(&self, _ctx: &Ctx<'_>, _req: &Request) -> Outcome {
-        Outcome::Compute { coalesce: false }
+        Outcome::Compute {
+            coalesce: false,
+            charge: None,
+        }
     }
 
     fn compute(&self, _ctx: &Ctx<'_>, _req: &Request) -> Response {
@@ -511,16 +514,56 @@ fn quota_exhaustion_is_a_429_and_cache_hits_stay_free() {
     h.shutdown();
 }
 
+/// Quota pays for computations, not requests: a herd of byte-identical
+/// cold searches coalesces onto one flight, and only its leader spends a
+/// token.
+#[test]
+fn coalesced_followers_spend_no_quota() {
+    const CLIENTS: usize = 8;
+    let h = ServerConfig::new()
+        .bind("127.0.0.1:0")
+        .workers(1)
+        // One token, no refill: the herd's one computation is in quota.
+        .quota(1, 0)
+        .spawn(ConfigRegistry::new("default", advisor()))
+        .expect("binds");
+    let addr = h.addr();
+    // Cold and Full scale, so the leader computes long enough for every
+    // follower to join its flight.
+    let search = r#"{"kernel":"spmv","top":1}"#;
+    let barrier = Barrier::new(CLIENTS);
+    let bodies: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut c = Client::connect(addr, Duration::from_secs(120));
+                    barrier.wait();
+                    let Reply { status, body } = c.post("/v1/search", search);
+                    assert_eq!(status, 200, "{body}");
+                    body
+                })
+            })
+            .collect();
+        workers.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    assert!(bodies.iter().all(|b| b == &bodies[0]));
+    let Reply { body: text, .. } = Client::connect(addr, READ_TIMEOUT).get("/metrics");
+    let rejected = Metrics::scrape_counter(&text, "hms_admission_rejected_total")
+        .expect("admission series exists");
+    assert_eq!(rejected, 0.0);
+    h.shutdown();
+}
+
 #[test]
 fn deadline_partial_flag_reaches_the_wire_format() {
     // Advisor::rank *is* the server's body builder (byte-identity is the
     // serve crate's core claim), so asserting on it asserts the wire.
     let adv = advisor();
     let q = RankRequest {
-        kernel: "vecadd".into(),
+        kernel: "spmv".into(),
         scale: gpu_hms::kernels::Scale::Test,
         top: 3,
-        prune: true,
+        prune: false,
         threads: 1,
         config: None,
         strategy: None,
@@ -528,6 +571,11 @@ fn deadline_partial_flag_reaches_the_wire_format() {
         beam: None,
     };
     let mut effort = Effort::default();
+    // The deadline is checked between 64-candidate chunks, so the space
+    // must span more than one for a cut to land.
+    let (body, _) = adv.rank(&q, true, None, &mut effort).expect("full rank");
+    let total = body.get("ranked_total").and_then(Json::as_f64).unwrap();
+    assert!(total > 64.0, "{total} candidates");
     let (body, outcome) = adv
         .rank(&q, true, Some(Instant::now()), &mut effort)
         .expect("partial rank succeeds");

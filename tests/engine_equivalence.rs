@@ -58,50 +58,6 @@ fn incremental_ranking_is_bit_identical_to_naive_registry_wide() {
     }
 }
 
-/// For every registered kernel: branch-and-bound returns the same best
-/// placement (same prediction bits) as the exhaustive search, at 1, 2,
-/// and all workers, and accounts for the whole space as either
-/// evaluated or pruned.
-#[test]
-fn branch_and_bound_never_drops_the_true_best_registry_wide() {
-    let cfg = GpuConfig::test_small();
-    for spec in registry() {
-        let kt = (spec.build)(Scale::Test);
-        let base = kt.default_placement();
-        let profile = profile_sample(&kt, &base, &cfg).unwrap();
-        let predictor = Predictor::new(cfg.clone());
-        let full = SearchRequest::new(&kt.arrays, &base)
-            .run(&predictor, &profile)
-            .unwrap();
-        let truth = full.best().expect("non-empty space");
-        for threads in [1usize, 2, 0] {
-            let bb = SearchRequest::new(&kt.arrays, &base)
-                .strategy(SearchStrategy::BranchAndBound)
-                .threads(threads)
-                .run(&predictor, &profile)
-                .unwrap();
-            let best = bb.best().expect("non-empty space");
-            assert_eq!(
-                best.placement, truth.placement,
-                "{}: pruning dropped the optimum at {threads} workers",
-                spec.name
-            );
-            assert_eq!(
-                best.predicted_cycles.to_bits(),
-                truth.predicted_cycles.to_bits(),
-                "{}: best prediction drifted",
-                spec.name
-            );
-            assert!(
-                bb.stats.candidates_evaluated + bb.stats.candidates_pruned
-                    >= full.ranked.len() as u64,
-                "{}: space not fully accounted for",
-                spec.name
-            );
-        }
-    }
-}
-
 /// Property: for a random kernel and a random *legal* placement, the
 /// engine's single prediction is bit-identical to the naive predictor's
 /// (analysis and all).

@@ -132,10 +132,13 @@ fn search_warm_cache_skips_engine_work() {
     let evaluated = counter(&mut c, "hms_engine_candidates_evaluated_total");
     assert!(evaluated > 0.0);
 
-    // A byte-identical repeat and a member-reordered spelling of the
-    // same query both hit: the cache key is the parsed request.
+    // A byte-identical repeat, a member-reordered spelling and the
+    // branch-and-bound spellings of exhaustive all hit: the cache key is
+    // the parsed request with its resolved strategy.
     let reordered = r#"{"top":3,"scale":"test","kernel":"vecadd"}"#;
-    for (hits, repeat) in [(1.0, body), (2.0, reordered)] {
+    let prune = r#"{"kernel":"vecadd","scale":"test","top":3,"prune":true}"#;
+    let bnb = r#"{"kernel":"vecadd","scale":"test","top":3,"strategy":"bnb"}"#;
+    for (hits, repeat) in [(1.0, body), (2.0, reordered), (3.0, prune), (4.0, bnb)] {
         let r2 = c.post("/v1/search", repeat);
         assert_eq!(r2.status, 200);
         assert_eq!(r1.body, r2.body);
@@ -285,6 +288,7 @@ impl Handler for SlowEcho {
     fn poll(&self, _ctx: &Ctx<'_>, _req: &gpu_hms::serve::http::Request) -> Outcome {
         Outcome::Compute {
             coalesce: self.coalesce,
+            charge: None,
         }
     }
 
